@@ -35,29 +35,51 @@ exception Not_certified of string
    permutations, by closure: repeatedly apply every generator until no
    new state appears.  Orbits of the models here are tiny (at most the
    process count for rotations, [n!] for full symmetric groups at small
-   [n]), so a list with linear membership is the right structure --
-   anything fancier would pay more in hashing than it saves. *)
+   [n]), so an array with linear membership is the right structure --
+   anything fancier would pay more in hashing than it saves.
 
-let orbit ?(max_orbit = 40_320) ~equal gens s =
-  let members = ref [ s ] in
-  let frontier = ref [ s ] in
+   The closure records where each generator sends each member: that
+   action table is what lets [verify] pair each member with its images
+   without applying a generator to the member again.
+
+   [closure ~equal gens s] is [(size, members, table)]: the members
+   [members.(0 .. size - 1)] in discovery order (the arrays may be
+   longer), and [table.(i * ngens + k)], the index of [gens.(k)]
+   applied to member [i].  The orbit's order, in which [verify] checks
+   it, is the reverse of discovery order. *)
+
+let closure ?(max_orbit = 40_320) ~equal gens s =
+  let ngens = Array.length gens in
+  let members = ref (Array.make 8 s) in
+  let table = ref (Array.make (8 * ngens) 0) in
+  let size = ref 1 in
+  let rec index y j =
+    if j < 0 then -1 else if equal y !members.(j) then j else index y (j - 1)
+  in
+  let frontier = ref [ 0 ] in
   let overflow = ref false in
   while !frontier <> [] && not !overflow do
     let work = !frontier in
     frontier := [];
     List.iter
       (fun x ->
-         List.iter
-           (fun g ->
-              let y = g.on_state x in
-              if not (List.exists (equal y) !members) then begin
-                if List.length !members >= max_orbit then overflow := true
-                else begin
-                  members := y :: !members;
-                  frontier := y :: !frontier
-                end
-              end)
-           gens)
+         for k = 0 to ngens - 1 do
+           let y = gens.(k).on_state !members.(x) in
+           let j = index y (!size - 1) in
+           if j >= 0 then !table.((x * ngens) + k) <- j
+           else if !size >= max_orbit then overflow := true
+           else begin
+             if !size = Array.length !members then begin
+               members := Array.append !members !members;
+               table := Array.append !table !table
+             end;
+             let j = !size in
+             !members.(j) <- y;
+             !table.((x * ngens) + k) <- j;
+             incr size;
+             frontier := j :: !frontier
+           end
+         done)
       work
   done;
   if !overflow then
@@ -66,17 +88,24 @@ let orbit ?(max_orbit = 40_320) ~equal gens s =
          "Symmetry.orbit: orbit exceeded %d states (is a declared \
           permutation really a bijection?)"
          max_orbit);
-  !members
+  (!size, !members, !table)
+
+let orbit ?max_orbit ~equal gens s =
+  let size, members, _ = closure ?max_orbit ~equal (Array.of_list gens) s in
+  List.init size (fun i -> members.(size - 1 - i))
 
 let canonicalizer ?(compare = Stdlib.compare) ?max_orbit ~equal spec =
   match spec.generators with
   | [] -> fun s -> s
   | gens ->
+    let gens = Array.of_list gens in
     fun s ->
-      List.fold_left
-        (fun best x -> if compare x best < 0 then x else best)
-        s
-        (orbit ?max_orbit ~equal gens s)
+      let size, members, _ = closure ?max_orbit ~equal gens s in
+      let best = ref s in
+      for i = size - 1 downto 0 do
+        if compare members.(i) !best < 0 then best := members.(i)
+      done;
+      !best
 
 (* ------------------------------------------------------------------ *)
 (* Certificates. *)
@@ -147,28 +176,29 @@ let rec remove_step ~equal ~equal_action (a, outs) = function
   | x :: rest ->
     Option.map (fun r -> x :: r) (remove_step ~equal ~equal_action (a, outs) rest)
 
-(* Does [enabled (g s)] equal the g-image of [enabled s] as a multiset
-   of (action, distribution) pairs? *)
-let equivariant_at ~equal ~equal_action pa g s =
+(* The enabled steps at [s] as (action, merged support) pairs: what
+   [verify] computes once per orbit member. *)
+let merged_steps ~equal pa s =
+  List.map
+    (fun st ->
+       ( st.Core.Pa.action,
+         merged_support ~equal (Proba.Dist.support st.Core.Pa.dist) ))
+    (Core.Pa.enabled pa s)
+
+(* Is [target] (the steps at [g s]) the g-image of [source] (the steps
+   at [s]) as a multiset of (action, distribution) pairs?  Merging the
+   image again is what exposes a non-injective [g]. *)
+let equivariant ~equal ~equal_action g source target =
   let image_steps =
     List.map
-      (fun st ->
-         ( g.on_action st.Core.Pa.action,
-           merged_support ~equal
-             (List.map
-                (fun (t, w) -> (g.on_state t, w))
-                (Proba.Dist.support st.Core.Pa.dist)) ))
-      (Core.Pa.enabled pa s)
+      (fun (a, outs) ->
+         ( g.on_action a,
+           merged_support ~equal (List.map (fun (t, w) -> (g.on_state t, w)) outs)
+         ))
+      source
   in
-  let target_steps =
-    List.map
-      (fun st ->
-         ( st.Core.Pa.action,
-           merged_support ~equal (Proba.Dist.support st.Core.Pa.dist) ))
-      (Core.Pa.enabled pa (g.on_state s))
-  in
-  List.length image_steps = List.length target_steps
-  && (let remaining = ref target_steps in
+  List.length image_steps = List.length target
+  && (let remaining = ref target in
       List.for_all
         (fun step ->
            match remove_step ~equal ~equal_action step !remaining with
@@ -184,6 +214,17 @@ let equivariant_at ~equal ~equal_action pa g s =
    compared at a glance. *)
 let mix fp h = ((fp * 131) + h + 1) land 0x3FFFFFFF
 
+(* [slots names]: for each entry, the position of the first entry with
+   the same name.  Verdicts and fingerprints are kept per name, so
+   same-named entries (the ring declares "G" twice) share one. *)
+let slots names =
+  let names = Array.of_list names in
+  Array.map
+    (fun name ->
+       let rec first j = if names.(j) = name then j else first (j + 1) in
+       first 0)
+    names
+
 let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
     spec expl =
   let pa = Mdp.Explore.automaton expl in
@@ -191,9 +232,10 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
   let equal_action = Core.Pa.equal_action pa in
   let hash = Core.Pa.hash_state pa in
   let pp_state s = Format.asprintf "%a" (Core.Pa.pp_state pa) s in
-  let gens = spec.generators in
+  let gens = Array.of_list spec.generators in
+  let preds = Array.of_list spec.invariant_preds in
   let n = Mdp.Explore.num_states expl in
-  let ngens = List.length gens in
+  let ngens = Array.length gens in
   (* Check every state of every orbit when that fits [max_checks]
      (state, generator) evaluations; otherwise stride-sample the
      representatives.  The certificate records actual coverage. *)
@@ -204,61 +246,86 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
     if reduced then 1 (* orbit expansion below handles the volume *)
     else max 1 ((n + budget_per_gen - 1) / max 1 budget_per_gen)
   in
-  let pa030 : (string, string) Hashtbl.t = Hashtbl.create 4 in
-  let pa031 : (string, string) Hashtbl.t = Hashtbl.create 4 in
-  let fps : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  List.iter (fun g -> Hashtbl.replace fps g.gen_name 0) gens;
+  let gslot = slots (List.map (fun g -> g.gen_name) spec.generators) in
+  let pslot = slots (List.map fst spec.invariant_preds) in
+  let pa030 = Array.make ngens None in
+  let pa031 = Array.make (Array.length preds) None in
+  let fps = Array.make ngens 0 in
   (* Start-set invariance: the image of a start state must be a start
      state, else the permutation moves the automaton, not just its
      state space. *)
   let starts = Core.Pa.start pa in
-  List.iter
-    (fun g ->
+  Array.iteri
+    (fun k g ->
        List.iter
          (fun s0 ->
             let img = g.on_state s0 in
             if not (List.exists (equal img) starts)
-            && not (Hashtbl.mem pa030 g.gen_name) then
-              Hashtbl.replace pa030 g.gen_name
-                (Printf.sprintf
-                   "start state %s maps to %s, which is not a start state"
-                   (pp_state s0) (pp_state img)))
+            && pa030.(gslot.(k)) = None then
+              pa030.(gslot.(k)) <-
+                Some
+                  (Printf.sprintf
+                     "start state %s maps to %s, which is not a start state"
+                     (pp_state s0) (pp_state img)))
          starts)
     gens;
-  let check_state s =
-    incr states_checked;
-    List.iter
-      (fun g ->
-         if not (Hashtbl.mem pa030 g.gen_name) then begin
-           Hashtbl.replace fps g.gen_name
-             (mix (Hashtbl.find fps g.gen_name)
-                (hash s + hash (g.on_state s)));
-           if not (equivariant_at ~equal ~equal_action pa g s) then
-             Hashtbl.replace pa030 g.gen_name
-               (Printf.sprintf
-                  "steps(%s) is not the %s-image of steps(%s)"
-                  (pp_state (g.on_state s)) g.gen_name (pp_state s))
-         end)
-      gens;
-    List.iter
-      (fun (pname, pred) ->
-         if not (Hashtbl.mem pa031 pname) then
-           let here = pred s in
-           List.iter
-             (fun g ->
-                if not (Hashtbl.mem pa031 pname)
-                && pred (g.on_state s) <> here then
-                  Hashtbl.replace pa031 pname
-                    (Printf.sprintf
-                       "%s holds of %s but not of its %s-image %s"
-                       pname
-                       (pp_state (if here then s else g.on_state s))
-                       g.gen_name
-                       (pp_state (if here then g.on_state s else s))))
+  (* Check a block of [size] states closed under the action table:
+     [table.(i * ngens + k)] is the index of [gens.(k)] applied to
+     member [i].  Members [top], [top - 1], ..., [0] are checked, in
+     that order (an orbit's order is the reverse of its discovery
+     order).  Each member's steps, hash and predicate values are
+     computed once, however many pairs use them. *)
+  let check_block size members table ~top =
+    let hashes = Array.init size (fun j -> hash members.(j)) in
+    let values =
+      Array.init size (fun j -> Array.map (fun (_, p) -> p members.(j)) preds)
+    in
+    let steps = Array.make size None in
+    let steps_of j =
+      match steps.(j) with
+      | Some st -> st
+      | None ->
+        let st = merged_steps ~equal pa members.(j) in
+        steps.(j) <- Some st;
+        st
+    in
+    for i = top downto 0 do
+      incr states_checked;
+      Array.iteri
+        (fun k g ->
+           let slot = gslot.(k) in
+           if pa030.(slot) = None then begin
+             let j = table.((i * ngens) + k) in
+             fps.(slot) <- mix fps.(slot) (hashes.(i) + hashes.(j));
+             if not
+                 (equivariant ~equal ~equal_action g (steps_of i) (steps_of j))
+             then
+               pa030.(slot) <-
+                 Some
+                   (Printf.sprintf "steps(%s) is not the %s-image of steps(%s)"
+                      (pp_state members.(j)) g.gen_name (pp_state members.(i)))
+           end)
+        gens;
+      Array.iteri
+        (fun p (pname, _) ->
+           let slot = pslot.(p) in
+           let here = values.(i).(p) in
+           Array.iteri
+             (fun k g ->
+                let j = table.((i * ngens) + k) in
+                if pa031.(slot) = None && values.(j).(p) <> here then begin
+                  let holds, fails = if here then (i, j) else (j, i) in
+                  pa031.(slot) <-
+                    Some
+                      (Printf.sprintf "%s holds of %s but not of its %s-image %s"
+                         pname (pp_state members.(holds)) g.gen_name
+                         (pp_state members.(fails)))
+                end)
              gens)
-      spec.invariant_preds
+        preds
+    done
   in
-  if gens <> [] then
+  if ngens > 0 then
     for i = 0 to n - 1 do
       let rep = Mdp.Explore.state expl i in
       if reduced then begin
@@ -267,49 +334,55 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
            the certificate cover the unreduced reachable set: the
            orbits of the representatives are exactly the reachable
            states of the full automaton. *)
-        let members = orbit ?max_orbit ~equal gens rep in
-        full_states := !full_states + List.length members;
-        List.iter check_state members
+        let size, members, table = closure ?max_orbit ~equal gens rep in
+        full_states := !full_states + size;
+        check_block size members table ~top:(size - 1)
       end
       else begin
         incr full_states;
-        if i mod stride = 0 then check_state rep
+        if i mod stride = 0 then
+          (* The state itself, then its image under each generator. *)
+          check_block (ngens + 1)
+            (Array.append [| rep |] (Array.map (fun g -> g.on_state rep) gens))
+            (Array.init ngens (fun k -> k + 1))
+            ~top:0
       end
     done;
   let diags =
-    List.filter_map
-      (fun g ->
-         Option.map
-           (fun w ->
-              Diagnostic.v ~witness:w Diagnostic.PA030 Diagnostic.Error
-                ~model
-                (Printf.sprintf
-                   "declared permutation %s is not an automorphism of the \
-                    explored fragment"
-                   g.gen_name))
-           (Hashtbl.find_opt pa030 g.gen_name))
-      gens
-    @ List.filter_map
-        (fun (pname, _) ->
-           Option.map
-             (fun w ->
-                Diagnostic.v ~witness:w Diagnostic.PA031 Diagnostic.Error
-                  ~model
-                  (Printf.sprintf
-                     "predicate %s is not invariant under the declared \
-                      symmetry group; orbit reduction would be unsound"
-                     pname))
-             (Hashtbl.find_opt pa031 pname))
-        spec.invariant_preds
+    List.filter_map Fun.id
+      (List.mapi
+         (fun k g ->
+            Option.map
+              (fun w ->
+                 Diagnostic.v ~witness:w Diagnostic.PA030 Diagnostic.Error
+                   ~model
+                   (Printf.sprintf
+                      "declared permutation %s is not an automorphism of the \
+                       explored fragment"
+                      g.gen_name))
+              pa030.(gslot.(k)))
+         spec.generators)
+    @ List.filter_map Fun.id
+        (List.mapi
+           (fun p (pname, _) ->
+              Option.map
+                (fun w ->
+                   Diagnostic.v ~witness:w Diagnostic.PA031 Diagnostic.Error
+                     ~model
+                     (Printf.sprintf
+                        "predicate %s is not invariant under the declared \
+                         symmetry group; orbit reduction would be unsound"
+                        pname))
+                pa031.(pslot.(p)))
+           spec.invariant_preds)
   in
-  if diags <> [] || gens = [] then (diags, None)
+  if diags <> [] || ngens = 0 then (diags, None)
   else begin
     let cert =
       { cert_generators =
-          List.map
-            (fun g ->
-               (g.gen_name, Printf.sprintf "%08x" (Hashtbl.find fps g.gen_name)))
-            gens;
+          List.mapi
+            (fun k g -> (g.gen_name, Printf.sprintf "%08x" fps.(gslot.(k))))
+            spec.generators;
         states_checked = !states_checked;
         full_states = !full_states;
         reduced;

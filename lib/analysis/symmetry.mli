@@ -101,7 +101,8 @@ val certificate_to_json : certificate -> Json.t
     [reduced] says [expl] was explored through a {!canonicalizer}: the
     verifier then expands each representative's full orbit and checks
     every member (sound coverage of the unreduced reachable set), and
-    PA032 is suppressed.  On unreduced fragments larger than
+    PA032 is suppressed.  Each member's steps are computed once and
+    shared by all the (member, generator) pairs that use them.  On unreduced fragments larger than
     [max_checks] (state, generator) evaluations, states are
     stride-sampled; the certificate records actual coverage. *)
 val verify :

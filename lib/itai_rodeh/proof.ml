@@ -46,30 +46,25 @@ let rec downfrom k = if k < 2 then [] else k :: downfrom (k - 1)
 
 let arrows inst = List.map (rung inst) (downfrom inst.params.Automaton.n)
 
-let composed inst =
-  let claims =
-    List.map
-      (fun k ->
-         let a = rung inst k in
-         match a.claim with
-         | Some c -> Ok c
-         | None ->
-           Error
-             (Printf.sprintf "rung %s attained only %s" a.label
-                (Q.to_string a.attained)))
-      (downfrom inst.params.Automaton.n)
-  in
-  let rec sequence = function
+let compose (_ : instance) arrows =
+  let rec claims = function
     | [] -> Ok []
-    | Ok x :: rest -> Result.map (fun xs -> x :: xs) (sequence rest)
-    | Error e :: _ -> Error e
+    | a :: rest ->
+      (match a.claim with
+       | Some c -> Result.map (fun cs -> c :: cs) (claims rest)
+       | None ->
+         Error
+           (Printf.sprintf "rung %s attained only %s" a.label
+              (Q.to_string a.attained)))
   in
-  match sequence claims with
+  match claims arrows with
   | Error e -> Error e
   | Ok [] -> Error "ring too small: no rungs"
   | Ok claims ->
     (try Ok (Core.Claim.compose_all claims)
      with Core.Claim.Rule_violation msg -> Error msg)
+
+let composed inst = compose inst (arrows inst)
 
 let leader_pred = Automaton.at_most 1
 

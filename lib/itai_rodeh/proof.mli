@@ -40,7 +40,14 @@ type arrow = {
 (** The ladder [k = n, ..., 2]. *)
 val arrows : instance -> arrow list
 
-(** [at_most(n) -(n-1)->_{2^-(n-1)} at_most(1)] via Theorem 3.4. *)
+(** [compose inst (arrows inst)]:
+    [at_most(n) -(n-1)->_{2^-(n-1)} at_most(1)] via Theorem 3.4, from
+    the rungs already checked.  [Error] names the first rung that does
+    not hold. *)
+val compose :
+  instance -> arrow list -> (Automaton.state Core.Claim.t, string) result
+
+(** [compose inst (arrows inst)]. *)
 val composed : instance -> (Automaton.state Core.Claim.t, string) result
 
 (** Exact min probability of electing within [n-1] time units (the

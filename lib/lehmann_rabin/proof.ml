@@ -46,29 +46,18 @@ let check_on arena ~granularity ~label ~pre ~post ~time ~prob =
     pre_states = result.Mdp.Checker.pre_states;
     claim = result.Mdp.Checker.claim }
 
-let spec_on arena ~granularity ~g_pred = function
-  | `P_to_C ->
-    check_on arena ~granularity ~label:"A.1" ~pre:Regions.p ~post:Regions.c
-      ~time:Q.one ~prob:Q.one
-  | `T_to_RTC ->
-    check_on arena ~granularity ~label:"A.3" ~pre:Regions.t
-      ~post:Regions.rt_or_c ~time:(Q.of_int 2) ~prob:Q.one
-  | `RT_to_FGP ->
-    check_on arena ~granularity ~label:"A.15" ~pre:Regions.rt
-      ~post:(Core.Pred.union_all [ Regions.f; g_pred; Regions.p ])
-      ~time:(Q.of_int 3) ~prob:Q.one
-  | `F_to_GP ->
-    check_on arena ~granularity ~label:"A.14" ~pre:Regions.f
-      ~post:(Core.Pred.union g_pred Regions.p) ~time:(Q.of_int 2)
-      ~prob:Q.half
-  | `G_to_P ->
-    check_on arena ~granularity ~label:"A.11" ~pre:g_pred ~post:Regions.p
-      ~time:(Q.of_int 5) ~prob:(Q.of_ints 1 4)
-
-let all_specs = [ `P_to_C; `T_to_RTC; `RT_to_FGP; `F_to_GP; `G_to_P ]
-
+(* The five arrows, checked in proof order. *)
 let arrows_on arena ~granularity ~g_pred =
-  List.map (spec_on arena ~granularity ~g_pred) all_specs
+  List.map
+    (fun (label, pre, post, time, prob) ->
+       check_on arena ~granularity ~label ~pre ~post ~time ~prob)
+    [ ("A.1", Regions.p, Regions.c, Q.one, Q.one);
+      ("A.3", Regions.t, Regions.rt_or_c, Q.of_int 2, Q.one);
+      ( "A.15", Regions.rt,
+        Core.Pred.union_all [ Regions.f; g_pred; Regions.p ],
+        Q.of_int 3, Q.one );
+      ("A.14", Regions.f, Core.Pred.union g_pred Regions.p, Q.of_int 2, Q.half);
+      ("A.11", g_pred, Regions.p, Q.of_int 5, Q.of_ints 1 4) ]
 
 (* Rename a claim's pre/post to set-equal predicates, certifying both
    inclusions over the reachable states. *)
@@ -89,23 +78,28 @@ let canonicalize arena claim ~pre ~post =
   in
   Core.Claim.weaken_post (Core.Claim.strengthen_pre claim to_pre) to_post
 
-let composed_on arena ~granularity ~g_pred =
-  let get spec =
-    let a = spec_on arena ~granularity ~g_pred spec in
+let compose_on arena ~g_pred arrows =
+  let claim a =
     match a.claim with
-    | Some c -> Ok (a, c)
+    | Some c -> Ok c
     | None ->
       Error
         (Printf.sprintf
            "%s does not hold at the paper's bound: attained %s < %s"
            a.label (Q.to_string a.attained) (Q.to_string a.prob))
   in
+  let a1, a3, a15, a14, a11 =
+    match arrows with
+    | [ a1; a3; a15; a14; a11 ] -> (a1, a3, a15, a14, a11)
+    | _ ->
+      invalid_arg "Proof.compose: expected the five arrows, in proof order"
+  in
   let ( let* ) = Result.bind in
-  let* _, a1 = get `P_to_C in
-  let* _, a3 = get `T_to_RTC in
-  let* _, a15 = get `RT_to_FGP in
-  let* _, a14 = get `F_to_GP in
-  let* _, a11 = get `G_to_P in
+  let* a1 = claim a1 in
+  let* a3 = claim a3 in
+  let* a15 = claim a15 in
+  let* a14 = claim a14 in
+  let* a11 = claim a11 in
   (* The paper's ladder: pad each arrow with the already-reached set via
      Proposition 3.2, canonicalize the set names with verified
      inclusions, then chain with Theorem 3.4. *)
@@ -172,9 +166,8 @@ let arrows inst =
   arrows_on inst.arena ~granularity:inst.params.Automaton.g
     ~g_pred:Regions.g
 
-let composed inst =
-  composed_on inst.arena ~granularity:inst.params.Automaton.g
-    ~g_pred:Regions.g
+let compose inst arrows = compose_on inst.arena ~g_pred:Regions.g arrows
+let composed inst = compose inst (arrows inst)
 
 let direct_bound inst =
   direct_bound_on inst.arena ~granularity:inst.params.Automaton.g
@@ -246,9 +239,10 @@ let arrows_topo inst =
   arrows_on inst.tarena ~granularity:inst.tg
     ~g_pred:(Regions.g_of inst.topo)
 
-let composed_topo inst =
-  composed_on inst.tarena ~granularity:inst.tg
-    ~g_pred:(Regions.g_of inst.topo)
+let compose_topo inst arrows =
+  compose_on inst.tarena ~g_pred:(Regions.g_of inst.topo) arrows
+
+let composed_topo inst = compose_topo inst (arrows_topo inst)
 
 let direct_bound_topo inst = direct_bound_on inst.tarena ~granularity:inst.tg
 let max_expected_time_topo inst =

@@ -47,11 +47,18 @@ type arrow = {
     [F -2->_{1/2} G ∪ P], [G -5->_{1/4} P]. *)
 val arrows : instance -> arrow list
 
-(** Compose the five arrows into [T -13->_{1/8} C] using the claim DSL
-    (Proposition 3.2 to pad each arrow with already-reached states,
-    inclusion certificates verified over the reachable states to
-    canonicalize the set names, Theorem 3.4 to chain).  Returns [Error]
-    with an explanation if some arrow failed to check. *)
+(** [compose inst (arrows inst)] composes the five checked arrows into
+    [T -13->_{1/8} C] using the claim DSL (Proposition 3.2 to pad each
+    arrow with already-reached states, inclusion certificates verified
+    over the reachable states to canonicalize the set names, Theorem
+    3.4 to chain).  No arrow is checked again.  Returns [Error] naming
+    the first arrow, in proof order, that does not hold.  Raises
+    [Invalid_argument] unless given the five arrows in proof order. *)
+val compose :
+  instance -> arrow list -> (State.t Core.Claim.t, string) result
+
+(** [composed inst] is [compose inst (arrows inst)], for callers that
+    only want the claim. *)
 val composed : instance -> (State.t Core.Claim.t, string) result
 
 (** Exact minimum of [P(reach C within 13)] over reachable [T]-states:
@@ -104,6 +111,8 @@ val build_topo :
   topo:Topology.t -> unit -> topo_instance
 
 val arrows_topo : topo_instance -> arrow list
+val compose_topo :
+  topo_instance -> arrow list -> (State.t Core.Claim.t, string) result
 val composed_topo : topo_instance -> (State.t Core.Claim.t, string) result
 val direct_bound_topo : topo_instance -> Proba.Rational.t
 val max_expected_time_topo : topo_instance -> float

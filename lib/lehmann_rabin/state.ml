@@ -97,6 +97,33 @@ let pp fmt s =
     s.res;
   Format.fprintf fmt "]@]"
 
-let equal a b = a = b
+(* Field-wise, so the hot paths (interning, orbit closure, symmetry
+   verification) never call the polymorphic equality; the relation is
+   exactly structural equality. *)
+let equal_side (u : side) v = u == v
+
+let equal_region a b =
+  match a, b with
+  | Wait u, Wait v | Second u, Second v | Drop u, Drop v | Exit_s u, Exit_s v
+    ->
+    equal_side u v
+  | (Rem | Flip | Pre | Crit | Exit_f | Exit_r), _ -> a == b
+  | (Wait _ | Second _ | Drop _ | Exit_s _), _ -> false
+
+let equal_proc p q =
+  p == q
+  || (equal_region p.region q.region && Int.equal p.c q.c && Int.equal p.b q.b)
+
+let equal_array eq a b =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i = i = n || (eq a.(i) b.(i) && go (i + 1)) in
+  go 0
+
+let equal a b =
+  a == b
+  || (equal_array equal_proc a.procs b.procs
+      && equal_array Bool.equal a.res b.res)
 
 let hash s = Hashtbl.hash_param 200 200 s

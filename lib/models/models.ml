@@ -341,48 +341,52 @@ end
 (* Claim extraction from the proof modules *)
 
 let lr_claims inst =
-  let arrows =
+  let arrows = LR.Proof.arrows inst in
+  let claims =
     List.filter_map
       (fun a ->
          Option.map (fun c -> (a.LR.Proof.label, c)) a.LR.Proof.claim)
-      (LR.Proof.arrows inst)
+      arrows
   in
-  match LR.Proof.composed inst with
-  | Ok c -> arrows @ [ ("composed", c) ]
-  | Error _ -> arrows
+  match LR.Proof.compose inst arrows with
+  | Ok c -> claims @ [ ("composed", c) ]
+  | Error _ -> claims
 
 let lr_topo_claims inst =
-  let arrows =
+  let arrows = LR.Proof.arrows_topo inst in
+  let claims =
     List.filter_map
       (fun a ->
          Option.map (fun c -> (a.LR.Proof.label, c)) a.LR.Proof.claim)
-      (LR.Proof.arrows_topo inst)
+      arrows
   in
-  match LR.Proof.composed_topo inst with
-  | Ok c -> arrows @ [ ("composed", c) ]
-  | Error _ -> arrows
+  match LR.Proof.compose_topo inst arrows with
+  | Ok c -> claims @ [ ("composed", c) ]
+  | Error _ -> claims
 
 let ir_claims inst =
-  let arrows =
+  let arrows = IR.Proof.arrows inst in
+  let claims =
     List.filter_map
       (fun a ->
          Option.map (fun c -> (a.IR.Proof.label, c)) a.IR.Proof.claim)
-      (IR.Proof.arrows inst)
+      arrows
   in
-  match IR.Proof.composed inst with
-  | Ok c -> arrows @ [ ("composed", c) ]
-  | Error _ -> arrows
+  match IR.Proof.compose inst arrows with
+  | Ok c -> claims @ [ ("composed", c) ]
+  | Error _ -> claims
 
 let sc_claims inst =
-  let arrows =
+  let arrows = SC.Proof.arrows inst in
+  let claims =
     List.filter_map
       (fun a ->
          Option.map (fun c -> (a.SC.Proof.label, c)) a.SC.Proof.claim)
-      (SC.Proof.arrows inst)
+      arrows
   in
-  match SC.Proof.composed inst with
-  | Ok c -> arrows @ [ ("composed", c) ]
-  | Error _ -> arrows
+  match SC.Proof.compose inst arrows with
+  | Ok c -> claims @ [ ("composed", c) ]
+  | Error _ -> claims
 
 (* ------------------------------------------------------------------ *)
 (* Lint runners.  Each resolves its instance through the memoized

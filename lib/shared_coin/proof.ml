@@ -46,26 +46,22 @@ let rungs inst = List.init inst.params.Automaton.bound (fun d -> d)
 
 let arrows inst = List.map (rung inst) (rungs inst)
 
-let composed inst =
-  let claims =
-    List.map
-      (fun d ->
-         match (rung inst d).claim with
-         | Some c -> Ok c
-         | None -> Error (Printf.sprintf "rung D%d failed" d))
-      (rungs inst)
-  in
-  let rec sequence = function
+let compose (_ : instance) arrows =
+  let rec claims = function
     | [] -> Ok []
-    | Ok x :: rest -> Result.map (fun xs -> x :: xs) (sequence rest)
-    | Error e :: _ -> Error e
+    | a :: rest ->
+      (match a.claim with
+       | Some c -> Result.map (fun cs -> c :: cs) (claims rest)
+       | None -> Error (Printf.sprintf "rung %s failed" a.label))
   in
-  match sequence claims with
+  match claims arrows with
   | Error e -> Error e
   | Ok [] -> Error "bound too small"
   | Ok claims ->
     (try Ok (Core.Claim.compose_all claims)
      with Core.Claim.Rule_violation msg -> Error msg)
+
+let composed inst = compose inst (arrows inst)
 
 let decided_pred inst =
   Automaton.at_least inst.params inst.params.Automaton.bound

@@ -44,7 +44,14 @@ type arrow = {
 (** The rungs [d = 0, ..., bound-1]. *)
 val arrows : instance -> arrow list
 
-(** [at_least 0 -bound->_{2^-bound} at_least bound] via Theorem 3.4. *)
+(** [compose inst (arrows inst)]:
+    [at_least 0 -bound->_{2^-bound} at_least bound] via Theorem 3.4,
+    from the rungs already checked.  [Error] names the first rung that
+    does not hold. *)
+val compose :
+  instance -> arrow list -> (Automaton.state Core.Claim.t, string) result
+
+(** [compose inst (arrows inst)]. *)
 val composed : instance -> (Automaton.state Core.Claim.t, string) result
 
 (** Exact minimum probability of deciding within [bound] time units

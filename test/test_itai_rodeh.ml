@@ -126,6 +126,30 @@ let test_composed () =
     check_q "prob 2^-(n-1)" (Q.of_ints 1 8) (Core.Claim.prob claim);
     Alcotest.(check bool) "verified" true (Core.Claim.fully_verified claim)
 
+(* [compose] reuses the rungs already checked: the same claim and
+   derivation as [composed], and a failing rung named in the words
+   [composed] has always used. *)
+let test_compose_reuses_arrows () =
+  let inst = IR.Proof.build ~n:4 () in
+  let derivation = function
+    | Ok c ->
+      Format.asprintf "%a@.%a" Core.Claim.pp c Core.Claim.pp_derivation c
+    | Error e -> "error: " ^ e
+  in
+  let arrows = IR.Proof.arrows inst in
+  Alcotest.(check string) "same derivation"
+    (derivation (IR.Proof.composed inst))
+    (derivation (IR.Proof.compose inst arrows));
+  let failed =
+    List.map (fun a ->
+        if a.IR.Proof.label = "L3" then
+          { a with IR.Proof.claim = None; attained = Q.of_ints 1 8 }
+        else a)
+      arrows
+  in
+  Alcotest.(check string) "failing rung" "error: rung L3 attained only 1/8"
+    (derivation (IR.Proof.compose inst failed))
+
 let test_direct_bound () =
   let inst = IR.Proof.build ~n:3 () in
   (* Pinned from the exact checker: the direct bound beats the composed
@@ -182,6 +206,8 @@ let () =
          Alcotest.test_case "bottom rung exactly 1/2" `Quick
            test_worst_rung_is_half;
          Alcotest.test_case "composed (n-1, 2^-(n-1))" `Quick test_composed;
+         Alcotest.test_case "compose reuses the rungs" `Quick
+           test_compose_reuses_arrows;
          Alcotest.test_case "direct bound" `Quick test_direct_bound;
          Alcotest.test_case "expected bound" `Quick test_expected_bound;
          Alcotest.test_case "liveness" `Quick test_liveness;

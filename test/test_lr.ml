@@ -94,6 +94,40 @@ let test_state_all_trying () =
   Alcotest.(check bool) "in RT" true (Core.Pred.mem LR.Regions.rt s);
   Alcotest.(check bool) "in F" true (Core.Pred.mem LR.Regions.f s)
 
+(* [St.equal] compares field by field; it must be exactly structural
+   equality.  Checked on every pair of n=3 reachable states, and on
+   every rotation image of every state against each state it could
+   structurally equal (those sharing its polymorphic hash).  The images
+   are fresh copies, so the physical-equality short cut cannot answer
+   for them. *)
+let test_state_equal () =
+  let expl = (Lazy.force inst).LR.Proof.expl in
+  let states =
+    Array.init (Mdp.Explore.num_states expl) (Mdp.Explore.state expl)
+  in
+  let by_hash = Hashtbl.create (Array.length states) in
+  Array.iter (fun s -> Hashtbl.add by_hash (Hashtbl.hash s) s) states;
+  let disagree = ref 0 and equal_pairs = ref 0 in
+  let check a b =
+    let expected = a = b in
+    if expected then incr equal_pairs;
+    if St.equal a b <> expected then incr disagree
+  in
+  Array.iter (fun a -> Array.iter (check a) states) states;
+  let images = ref 0 in
+  List.iter
+    (fun perm ->
+       Array.iter
+         (fun s ->
+            let a = LR.Symmetry.apply_state perm s in
+            incr images;
+            List.iter (check a) (Hashtbl.find_all by_hash (Hashtbl.hash a)))
+         states)
+    (LR.Topology.automorphisms (LR.Topology.ring 3));
+  Alcotest.(check int) "St.equal agrees with ( = )" 0 !disagree;
+  Alcotest.(check int) "equal pairs: one per state and one per image"
+    (Array.length states + !images) !equal_pairs
+
 (* ------------------------------------------------------------------ *)
 (* Automaton transitions (white box) *)
 
@@ -414,6 +448,42 @@ let test_proof_composed () =
     Alcotest.(check bool) "machine checked end to end" true
       (Core.Claim.fully_verified claim)
 
+(* The claim and its whole derivation, or the error. *)
+let derivation = function
+  | Ok c ->
+    Format.asprintf "%a@.%a" Core.Claim.pp c Core.Claim.pp_derivation c
+  | Error e -> "error: " ^ e
+
+(* [compose] reuses the arrows already checked; it must give exactly
+   what [composed], which checks them again, gives. *)
+let test_proof_compose_reuses_arrows () =
+  let inst = Lazy.force inst in
+  Alcotest.(check string) "ring"
+    (derivation (LR.Proof.composed inst))
+    (derivation (LR.Proof.compose inst (LR.Proof.arrows inst)));
+  let star = LR.Proof.build_topo ~topo:(LR.Topology.star 3) () in
+  Alcotest.(check string) "star"
+    (derivation (LR.Proof.composed_topo star))
+    (derivation (LR.Proof.compose_topo star (LR.Proof.arrows_topo star)))
+
+(* A failing arrow is named in the words [composed] has always used,
+   and the first failure in proof order wins. *)
+let test_proof_compose_names_failure () =
+  let inst = Lazy.force inst in
+  let fail label =
+    List.map (fun a ->
+        if a.LR.Proof.label = label then
+          { a with LR.Proof.claim = None; attained = Q.of_ints 1 8 }
+        else a)
+  in
+  let arrows = LR.Proof.arrows inst in
+  Alcotest.(check string) "A.11"
+    "error: A.11 does not hold at the paper's bound: attained 1/8 < 1/4"
+    (derivation (LR.Proof.compose inst (fail "A.11" arrows)));
+  Alcotest.(check string) "A.3 before A.14"
+    "error: A.3 does not hold at the paper's bound: attained 1/8 < 1"
+    (derivation (LR.Proof.compose inst (fail "A.14" (fail "A.3" arrows))))
+
 let test_proof_direct_bound () =
   let inst = Lazy.force inst in
   let direct = LR.Proof.direct_bound inst in
@@ -662,7 +732,8 @@ let () =
          Alcotest.test_case "holds" `Quick test_state_holds;
          Alcotest.test_case "ready" `Quick test_state_ready;
          Alcotest.test_case "initial" `Quick test_state_initial;
-         Alcotest.test_case "all_trying" `Quick test_state_all_trying ]);
+         Alcotest.test_case "all_trying" `Quick test_state_all_trying;
+         Alcotest.test_case "equal is structural" `Slow test_state_equal ]);
       ("automaton",
        [ Alcotest.test_case "start enabled" `Quick test_auto_start_enabled;
          Alcotest.test_case "flip distribution" `Quick
@@ -705,6 +776,10 @@ let () =
            test_proof_arrow_minima;
          Alcotest.test_case "composed T -13->_1/8 C" `Quick
            test_proof_composed;
+         Alcotest.test_case "compose reuses the arrows" `Quick
+           test_proof_compose_reuses_arrows;
+         Alcotest.test_case "compose names the failing arrow" `Quick
+           test_proof_compose_names_failure;
          Alcotest.test_case "direct bound 15/16" `Quick
            test_proof_direct_bound;
          Alcotest.test_case "expected bound 63" `Quick

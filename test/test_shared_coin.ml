@@ -102,6 +102,30 @@ let test_composed () =
     check_q "prob 2^-B" (Q.of_ints 1 8) (Core.Claim.prob claim);
     Alcotest.(check bool) "verified" true (Core.Claim.fully_verified claim)
 
+(* [compose] reuses the rungs already checked: the same claim and
+   derivation as [composed], and a failing rung named in the words
+   [composed] has always used. *)
+let test_compose_reuses_arrows () =
+  let inst = SC.Proof.build ~n:2 ~bound:3 () in
+  let derivation = function
+    | Ok c ->
+      Format.asprintf "%a@.%a" Core.Claim.pp c Core.Claim.pp_derivation c
+    | Error e -> "error: " ^ e
+  in
+  let arrows = SC.Proof.arrows inst in
+  Alcotest.(check string) "same derivation"
+    (derivation (SC.Proof.composed inst))
+    (derivation (SC.Proof.compose inst arrows));
+  let failed =
+    List.map (fun a ->
+        if a.SC.Proof.label = "D1" then
+          { a with SC.Proof.claim = None; attained = Q.of_ints 1 8 }
+        else a)
+      arrows
+  in
+  Alcotest.(check string) "failing rung" "error: rung D1 failed"
+    (derivation (SC.Proof.compose inst failed))
+
 let test_composition_is_loose () =
   (* The direct bound dwarfs the composed 2^-B: the documented
      methodological finding. *)
@@ -193,6 +217,8 @@ let () =
       ("proof",
        [ Alcotest.test_case "rungs hold" `Quick test_rungs_hold;
          Alcotest.test_case "composed (B, 2^-B)" `Quick test_composed;
+         Alcotest.test_case "compose reuses the rungs" `Quick
+           test_compose_reuses_arrows;
          Alcotest.test_case "composition is loose" `Quick
            test_composition_is_loose;
          Alcotest.test_case "B^2 law" `Quick test_expected_square_law;

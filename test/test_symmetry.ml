@@ -21,6 +21,13 @@ let claim_str = function
 let has_code code diags =
   List.exists (fun d -> d.Analysis.Diagnostic.code = code) diags
 
+let witnesses code diags =
+  List.filter_map
+    (fun d ->
+       if d.Analysis.Diagnostic.code = code then d.Analysis.Diagnostic.witness
+       else None)
+    diags
+
 let cert_exn = function
   | Some (c : Sym.certificate) -> c
   | None -> Alcotest.fail "expected a symmetry certificate"
@@ -133,6 +140,65 @@ let test_consensus_differential () =
     (BO.Proof.decision_curve on ~rounds)
 
 (* ------------------------------------------------------------------ *)
+(* Golden certificates: [certificate_to_json] of the --sym on instance
+   of each case study (at the CLI's default parameters), pinned
+   byte for byte.  The fingerprints hash every (member, generator) pair
+   in check order, so a verifier that skips or reorders orbit members
+   changes them. *)
+
+let cert_json cert =
+  Analysis.Json.to_string (Sym.certificate_to_json (cert_exn cert))
+
+let golden_cases =
+  [ ( "lr n=3",
+      (fun () -> (LR.Proof.build ~sym:Sym.On ~n:3 ()).LR.Proof.sym),
+      "{\"generators\":[{\"name\":\"perm(1 2 0)\",\
+      \"fingerprint\":\"3edb01a6\"},{\"name\":\"perm(2 0 1)\",\
+      \"fingerprint\":\"18e5d1e4\"}],\"states_checked\":8092,\
+      \"full_states\":8092,\"reduced\":true,\"preds\":[\"T\",\
+      \"C\",\"RT\",\"F\",\"P\",\"G\",\"P ∪ C\",\"RT ∪ C\",\"G\"]}" );
+    ( "election n=3",
+      (fun () -> (IR.Proof.build ~sym:Sym.On ~n:3 ()).IR.Proof.sym),
+      "{\"generators\":[{\"name\":\"swap(0,1)\",\
+      \"fingerprint\":\"185bb256\"},{\"name\":\"swap(1,2)\",\
+      \"fingerprint\":\"298465c0\"}],\"states_checked\":60,\
+      \"full_states\":60,\"reduced\":true,\
+      \"preds\":[\"at most 1 active\",\"at most 2 active\",\
+      \"at most 3 active\"]}" );
+    ( "coin n=3 bound=4",
+      (fun () -> (SC.Proof.build ~sym:Sym.On ~n:3 ~bound:4 ()).SC.Proof.sym),
+      "{\"generators\":[{\"name\":\"swap(0,1)\",\
+      \"fingerprint\":\"25e3836a\"},{\"name\":\"swap(1,2)\",\
+      \"fingerprint\":\"171e3c86\"}],\"states_checked\":74,\
+      \"full_states\":74,\"reduced\":true,\
+      \"preds\":[\"|counter| >= 0\",\"|counter| >= 1\",\
+      \"|counter| >= 2\",\"|counter| >= 3\",\"|counter| >= 4\"]}" );
+    ( "consensus n=3 cap=2",
+      (fun () ->
+         let initial = Array.init 3 (fun i -> i = 2) in
+         (BO.Proof.build ~sym:Sym.On ~n:3 ~f:1 ~cap:2 ~initial ()).BO.Proof.sym),
+      "{\"generators\":[{\"name\":\"swap(0,1)\",\
+      \"fingerprint\":\"05daded2\"}],\"states_checked\":16148,\
+      \"full_states\":16148,\"reduced\":true,\"preds\":[\"Init\",\
+      \"Decided\",\"Agreement\",\"Quiescent\"]}" ) ]
+
+let test_golden_certs () =
+  List.iter
+    (fun (name, build, expected) ->
+       Alcotest.(check string) name expected (cert_json (build ())))
+    golden_cases
+
+let test_golden_lr4 () =
+  Alcotest.(check string) "lr n=4"
+    "{\"generators\":[{\"name\":\"perm(1 2 3 0)\",\
+    \"fingerprint\":\"3c7cb53e\"},{\"name\":\"perm(2 3 0 1)\",\
+    \"fingerprint\":\"0020c752\"},{\"name\":\"perm(3 0 1 2)\",\
+    \"fingerprint\":\"08cbc436\"}],\"states_checked\":162964,\
+    \"full_states\":162964,\"reduced\":true,\"preds\":[\"T\",\
+    \"C\",\"RT\",\"F\",\"P\",\"G\",\"P ∪ C\",\"RT ∪ C\",\"G\"]}"
+    (cert_json (LR.Proof.build ~sym:Sym.On ~n:4 ()).LR.Proof.sym)
+
+(* ------------------------------------------------------------------ *)
 (* Fixtures that must fire. *)
 
 (* A line topology has no nontrivial side-preserving automorphism, so a
@@ -154,8 +220,11 @@ let test_pa030_fires () =
   let diags, cert =
     Sym.verify ~model:"lr-line-broken" (broken_line_spec topo) expl
   in
-  Alcotest.(check bool) "PA030 fired" true
-    (has_code Analysis.Diagnostic.PA030 diags);
+  Alcotest.(check (list string)) "PA030 witness"
+    [ "steps([W←(c0,b1) R(c1,b1) R(c1,b1) | f f f f]) is not the \
+       bogus-rotation-image of steps([R(c1,b1) R(c1,b1) W←(c0,b1) | f f f \
+       f])" ]
+    (witnesses Analysis.Diagnostic.PA030 diags);
   Alcotest.(check bool) "no certificate" true (cert = None)
 
 let test_pa030_not_certified () =
@@ -181,7 +250,58 @@ let test_pa031_fires () =
     (has_code Analysis.Diagnostic.PA031 diags);
   Alcotest.(check bool) "PA030 clean" false
     (has_code Analysis.Diagnostic.PA030 diags);
-  Alcotest.(check bool) "no certificate" true (cert = None)
+  Alcotest.(check bool) "no certificate" true (cert = None);
+  Alcotest.(check (list string)) "witness"
+    [ "proc0-crit holds of [C(c1,b1) R(c1,b1) R(c1,b1) | t f t] but not \
+       of its perm(1 2 0)-image [R(c1,b1) C(c1,b1) R(c1,b1) | t t f]" ]
+    (witnesses Analysis.Diagnostic.PA031 diags);
+  (* The orbit-expanded check finds it at another member pair. *)
+  let canon = Sym.canonicalizer ~equal:(Core.Pa.equal_state pa) spec in
+  let diags, _ =
+    Sym.verify ~model:"lr-proc0" ~reduced:true spec
+      (Mdp.Explore.run ~canon pa)
+  in
+  Alcotest.(check (list string)) "witness on the quotient"
+    [ "proc0-crit holds of [C(c1,b1) R(c1,b1) R(c1,b1) | t f t] but not \
+       of its perm(2 0 1)-image [R(c1,b1) C(c1,b1) R(c1,b1) | t t f]" ]
+    (witnesses Analysis.Diagnostic.PA031 diags)
+
+(* A rotation of a 3-cycle that commutes with the steps at the orbit
+   representative 0 but not at the other two members: the quotient
+   holds the representative alone, so only checking every orbit
+   member refutes the declaration. *)
+module Skew = struct
+  type action = A
+
+  let next = function 0 -> 1 | 1 -> 2 | _ -> 1
+
+  let pa =
+    Core.Pa.make ~pp_state:Format.pp_print_int
+      ~pp_action:(fun fmt A -> Format.pp_print_string fmt "a")
+      ~start:[ 0; 1; 2 ]
+      ~enabled:(fun s ->
+          [ { Core.Pa.action = A; dist = Proba.Dist.point (next s) } ])
+      ()
+
+  let rot =
+    Sym.generator ~name:"rot" ~on_state:(fun s -> (s + 1) mod 3)
+      ~on_action:(fun (a : action) -> a)
+end
+
+let test_pa030_off_representative () =
+  let spec = Sym.spec [ Skew.rot ] in
+  Alcotest.(check int) "steps(rot 0) = rot(steps 0)"
+    (Skew.rot.Sym.on_state (Skew.next 0))
+    (Skew.next (Skew.rot.Sym.on_state 0));
+  let expl =
+    Mdp.Explore.run ~canon:(Sym.canonicalizer ~equal:Int.equal spec) Skew.pa
+  in
+  Alcotest.(check int) "one representative" 1 (Mdp.Explore.num_states expl);
+  let diags, cert = Sym.verify ~model:"skew" ~reduced:true spec expl in
+  Alcotest.(check bool) "no certificate" true (cert = None);
+  Alcotest.(check (list string)) "witness"
+    [ "steps(0) is not the rot-image of steps(2)" ]
+    (witnesses Analysis.Diagnostic.PA030 diags)
 
 (* Unreduced exploration of a certifiably symmetric model gets the
    advisory (with a certificate: the group itself verified fine). *)
@@ -217,7 +337,8 @@ let rot3 =
 let test_orbit () =
   let orbit = Sym.orbit ~equal:Int.equal [ rot3 ] 1 in
   Alcotest.(check (list int)) "orbit of 1 under +1 mod 3" [ 0; 1; 2 ]
-    (List.sort compare orbit)
+    (List.sort compare orbit);
+  Alcotest.(check (list int)) "newest member first" [ 0; 2; 1 ] orbit
 
 let test_canonicalizer () =
   let canon = Sym.canonicalizer ~equal:Int.equal (Sym.spec [ rot3 ]) in
@@ -245,8 +366,13 @@ let () =
             test_pa030_not_certified;
           Alcotest.test_case "PA031: process-pinned predicate" `Quick
             test_pa031_fires;
+          Alcotest.test_case "PA030: off the representative" `Quick
+            test_pa030_off_representative;
           Alcotest.test_case "PA032: unreduced advisory" `Quick
             test_pa032_advisory ] );
+      ( "golden",
+        [ Alcotest.test_case "certificates" `Quick test_golden_certs;
+          Alcotest.test_case "lr n=4 certificate" `Slow test_golden_lr4 ] );
       ( "mechanics",
         [ Alcotest.test_case "orbit closure" `Quick test_orbit;
           Alcotest.test_case "canonicalizer" `Quick test_canonicalizer ] )
