@@ -137,35 +137,12 @@ let bench_tests () =
     Test.make ~name:"engine:bisim refine (n=3)"
       (Staged.stage (fun () -> Mdp.Bisim.refine arena ~labels:bisim_labels ()))
   in
-  (* The interval plane, measured on its own: the signature refinement
-     with float-point keys (vs the exact-plane escape hatch above --
-     [engine:bisim] resolves the session default, Interval), and the
-     certified two-sided VI bracket that only the interval plane can
-     produce.  [interval:bisim] and [engine:bisim] differing is the
-     point: same partition, cheaper plane. *)
-  let interval_bisim =
-    Test.make ~name:"interval:bisim (float-point signatures, n=3)"
-      (Staged.stage (fun () ->
-           Mdp.Bisim.refine arena ~labels:bisim_labels
-             ~plane:Mdp.Plane.Interval ()))
-  in
-  let exact_bisim =
-    Test.make ~name:"interval:bisim-exact-plane (escape hatch, n=3)"
-      (Staged.stage (fun () ->
-           Mdp.Bisim.refine arena ~labels:bisim_labels
-             ~plane:Mdp.Plane.Exact ()))
-  in
-  let interval_vi =
-    Test.make ~name:"interval:vi (certified E[T] bracket, n=3)"
-      (Staged.stage (fun () ->
-           Mdp.Expected_time.max_expected_ticks_interval arena
-             ~target:lr3_target ()))
-  in
   (* Symmetry reduction: the canonicalizer is the per-successor cost
      --sym adds to exploration (orbit closure + minimum); the lr4
-     kernel is the payoff end to end — certify the rotation group and
-     build the 40846-representative quotient of the 162964-state
-     instance that makes exact n=4 phase checks feasible. *)
+     kernel is the payoff end to end — build the 40846-representative
+     quotient of the 162964-state instance that makes exact n=4 phase
+     checks feasible, and certify the rotation group on it (a large
+     share of the kernel's time, hence "+verify"). *)
   let sym_canon =
     let canon =
       Analysis.Symmetry.canonicalizer ~equal:LR.State.equal
@@ -178,7 +155,7 @@ let bench_tests () =
   let explore_lr4_reduced =
     let pa = LR.Automaton.make { LR.Automaton.n = 4; g = 1; k = 1 } in
     let spec = LR.Symmetry.ring ~n:4 () in
-    Test.make ~name:"explore:lr4-reduced (certified orbit quotient)"
+    Test.make ~name:"explore:lr4-reduced+verify (certified orbit quotient)"
       (Staged.stage (fun () ->
            Analysis.Symmetry.explored ~model:"lr" ~mode:Analysis.Symmetry.On
              spec pa))
@@ -300,7 +277,7 @@ let bench_tests () =
     in
     [ Test.make ~name:"serve:throughput (/health client cycle)"
         (Staged.stage (fun () -> roundtrip "/health"));
-      Test.make ~name:"serve:cache-hit (/check lr n=3, warm)"
+      Test.make ~name:"serve:connect+cache-hit+close (/check lr n=3, warm)"
         (Staged.stage (fun () -> roundtrip "/check?model=lr&n=3"));
       (* The /batch envelope on warm elements: parse the envelope,
          dedup the two equal keys, answer both from the result cache
@@ -365,9 +342,8 @@ let bench_tests () =
   in
   Test.make_grouped ~name:"prtb"
     ([ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; float_engine;
-       rational_engine; arena_compile; arena_sweep; bisim;
-       interval_bisim; exact_bisim; interval_vi;
-       sym_canon; explore_lr4_reduced; sim ]
+       rational_engine; arena_compile; arena_sweep; bisim; sym_canon;
+       explore_lr4_reduced; sim ]
      @ substrate @ cert_tests @ serve_tests @ snapshot_tests
      @ chaos_tests)
 
@@ -464,13 +440,13 @@ let baseline_rows path =
    the subsystem kernels whose fast paths the suite also exercises
    (symmetry canonicalization, the certified lr4 orbit quotient, the
    served degraded path, the snapshot cold load, the chaos round, the
-   certificate emit/verify pipeline, bisimulation refinement and the
-   interval-plane kernels).  The substrate and sim micro-benchmarks
-   are too jittery for even a coarse CI gate. *)
+   certificate emit/verify pipeline and bisimulation refinement).  The
+   substrate and sim micro-benchmarks are too jittery for even a
+   coarse CI gate. *)
 let guarded_prefixes =
   [ "prtb/sym:"; "prtb/explore:"; "prtb/serve:deadline";
     "prtb/serve:snapshot-cold"; "prtb/chaos:"; "prtb/engine:bisim";
-    "prtb/interval:"; "prtb/cert:" ]
+    "prtb/cert:" ]
 
 let guarded name =
   let has_prefix p =

@@ -90,7 +90,8 @@ val dyadic_plane : ('s, 'a) t -> Proba.Dyadic.t array
     correctly-rounded directed endpoints (equal whenever the
     probability is a finite double, which covers all dyadic models).
     Computed from [prob_q] on first use and memoized like
-    {!dyadic_plane} (domain-safe, write-once). *)
+    {!dyadic_plane} (domain-safe, write-once).  Its only consumer is
+    the guided sweep of {!Finite_horizon} under {!Plane.Interval}. *)
 val interval_plane : ('s, 'a) t -> float array * float array
 
 (** A deterministic structural digest of the compiled fragment (32 hex

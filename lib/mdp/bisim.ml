@@ -1,170 +1,66 @@
 module Q = Proba.Rational
 
-(* A step signature: its (collapsed) action key together with the
-   probability it assigns to each block, in canonical order.  Reads
-   the arena's CSR rows and exact plane. *)
-type signature = (string * (int * Q.t) list) list
+let structural x = Marshal.to_string x []
 
-let step_signature ~action_key blocks (a : _ Arena.t) k =
-  let tally = Hashtbl.create 8 in
-  for o = a.Arena.out_off.(k) to a.Arena.out_off.(k + 1) - 1 do
-    let b = blocks.(a.Arena.tgt.(o)) in
-    let cur = try Hashtbl.find tally b with Not_found -> Q.zero in
-    Hashtbl.replace tally b (Q.add cur a.Arena.prob_q.(o))
-  done;
-  let entries = Hashtbl.fold (fun b w acc -> (b, w) :: acc) tally [] in
-  ( action_key a.Arena.actions.(k),
-    List.sort (fun (a, _) (b, _) -> compare a b) entries )
+(* Action keys are block-independent: collapse each step's action once
+   per call rather than once per step per refinement round. *)
+let action_keys action_key (a : _ Arena.t) =
+  Array.map action_key a.Arena.actions
 
-let state_signature ~action_key blocks (a : _ Arena.t) i : signature =
+(* A state's signature: for each of its steps, the step's collapsed
+   action key together with the probability it assigns to each block,
+   blocks in ascending order; duplicate steps removed, canonically
+   ordered.  Reads the arena's CSR rows and exact plane.  Refinement
+   groups states by it and the quotient reads its steps off it. *)
+let state_signature keys blocks (a : _ Arena.t) i =
+  let rec bump b w = function
+    | [] -> [ (b, w) ]
+    | (b', w') :: tl when b' = b -> (b, Q.add w' w) :: tl
+    | hd :: tl -> hd :: bump b w tl
+  in
+  let step k =
+    let entries = ref [] in
+    for o = a.Arena.out_off.(k) to a.Arena.out_off.(k + 1) - 1 do
+      entries := bump blocks.(a.Arena.tgt.(o)) a.Arena.prob_q.(o) !entries
+    done;
+    (keys.(k), List.sort (fun (x, _) (y, _) -> compare x y) !entries)
+  in
   let sigs = ref [] in
   for k = a.Arena.step_off.(i + 1) - 1 downto a.Arena.step_off.(i) do
-    sigs := step_signature ~action_key blocks a k :: !sigs
+    sigs := step k :: !sigs
   done;
   List.sort_uniq compare !sigs
 
-(* Unified weight keys for the interval-guided refinement.  Every
-   weight that is exactly representable as a double is encoded as
-   [P f] -- both by the point fast path (whose per-block sums are
-   doubles by construction) and by the exact fallback (which checks
-   representability with the directed conversions) -- while the rest
-   carry their exact rational as [E q].  Key equality therefore
-   coincides with exact weight equality no matter which path computed
-   the weight, so the partition trajectory is identical to the
-   pure-exact refinement. *)
-type wkey = P of float | E of Q.t
-
-let refine (a : _ Arena.t) ~labels
-    ?(action_key = fun x -> Marshal.to_string x []) ?plane () =
+let refine (a : _ Arena.t) ~labels ?(action_key = structural) () =
   let n = a.Arena.n in
   if Array.length labels <> n then
     invalid_arg "Bisim.refine: labels array has wrong length";
-  let mode = Plane.resolve plane in
-  let step_off = a.Arena.step_off and out_off = a.Arena.out_off in
-  let tgt = a.Arena.tgt and prob_q = a.Arena.prob_q in
-  (* Action keys are block-independent: collapse each step's action
-     once instead of re-marshalling it every round (the historical
-     code paid one [Marshal.to_string] per step per round). *)
-  let skey = Array.map action_key a.Arena.actions in
-  let exact_step_sig blocks k =
-    let tally = Hashtbl.create 8 in
-    for o = out_off.(k) to out_off.(k + 1) - 1 do
-      let b = blocks.(tgt.(o)) in
-      let cur = try Hashtbl.find tally b with Not_found -> Q.zero in
-      Hashtbl.replace tally b (Q.add cur prob_q.(o))
-    done;
-    let entries = Hashtbl.fold (fun b w acc -> (b, w) :: acc) tally [] in
-    (skey.(k), List.sort (fun (x, _) (y, _) -> compare x y) entries)
-  in
-  (* The legacy state signature (exact plane, memoized action keys). *)
-  let state_key_exact blocks i =
-    let sigs = ref [] in
-    for k = step_off.(i + 1) - 1 downto step_off.(i) do
-      sigs := exact_step_sig blocks k :: !sigs
-    done;
-    List.sort_uniq compare !sigs
-  in
-  (* Interval-guided state signature.  Per-block weight sums run on
-     the interval plane's endpoint arrays, accumulated in branch
-     order.  When every per-step sum collapses to a point the whole
-     signature is made of [P] keys with no exact arithmetic at all --
-     on dyadic models that is every state after warm-up.  Any widened
-     sum sends the state down the exact path, whose weights embed into
-     the same key space via the directed conversions. *)
-  let plo, phi =
-    match mode with
-    | Plane.Interval -> Arena.interval_plane a
-    | Plane.Exact -> ([||], [||])
-  in
-  let wkey_of_q q =
-    let f = Q.to_float_down q in
-    (* [+. 0.0] normalizes -0. to 0.: [Hashtbl.hash] distinguishes the
-       zero bit patterns even though [compare] does not *)
-    if Float.equal f (Q.to_float_up q) then P (f +. 0.0) else E q
-  in
-  let exception Widened in
-  let tally_step blocks k =
-    (* small assoc list in first-encounter order; each branch's
-       endpoints are folded into its block's running outward sums *)
-    let rec bump acc b l h =
-      match acc with
-      | [] -> [ (b, l, h) ]
-      | (b', l', h') :: tl when b' = b ->
-        (b', Proba.Interval.add_down l' l, Proba.Interval.add_up h' h)
-        :: tl
-      | hd :: tl -> hd :: bump tl b l h
-    in
-    let entries = ref [] in
-    for o = out_off.(k) to out_off.(k + 1) - 1 do
-      entries :=
-        bump !entries blocks.(Array.unsafe_get tgt o)
-          (Array.unsafe_get plo o) (Array.unsafe_get phi o)
-    done;
-    List.sort (fun (x, _, _) (y, _, _) -> compare x y) !entries
-  in
-  let points = ref 0 and residue = ref 0 in
-  let state_key_interval blocks i =
-    try
-      let sigs = ref [] in
-      for k = step_off.(i + 1) - 1 downto step_off.(i) do
-        let entries =
-          List.map
-            (fun (b, l, h) ->
-               if Float.equal l h then (b, P (l +. 0.0)) else raise Widened)
-            (tally_step blocks k)
-        in
-        sigs := (skey.(k), entries) :: !sigs
-      done;
-      incr points;
-      List.sort_uniq compare !sigs
-    with Widened ->
-      incr residue;
-      let sigs = ref [] in
-      for k = step_off.(i + 1) - 1 downto step_off.(i) do
-        let key, entries = exact_step_sig blocks k in
-        sigs :=
-          (key, List.map (fun (b, q) -> (b, wkey_of_q q)) entries)
-          :: !sigs
-      done;
-      List.sort_uniq compare !sigs
-  in
-  (* Current partition as block ids; refine until stable.  [round] is
-     polymorphic in the signature type: the exact mode groups by the
-     legacy rational signatures, the interval mode by unified keys --
-     equal keys mean equal exact signatures either way, so both modes
-     walk the same partition trajectory with the same first-encounter
-     block numbering. *)
+  let keys = action_keys action_key a in
+  (* Current partition as block ids, renumbered in first-encounter
+     order every round; refine until stable. *)
   let blocks = Array.copy labels in
   let stable = ref false in
-  let round state_key =
+  while not !stable do
     Core.Budget.poll ();
-    let keys = Hashtbl.create (2 * n) in
+    let seen = Hashtbl.create (2 * n) in
     let fresh = ref 0 in
     let next = Array.make n 0 in
     for i = 0 to n - 1 do
-      let key = (blocks.(i), state_key blocks i) in
+      let key = (blocks.(i), state_signature keys blocks a i) in
       let b =
-        match Hashtbl.find_opt keys key with
+        match Hashtbl.find_opt seen key with
         | Some b -> b
         | None ->
           let b = !fresh in
           incr fresh;
-          Hashtbl.add keys key b;
+          Hashtbl.add seen key b;
           b
       in
       next.(i) <- b
     done;
     stable := Array.for_all2 ( = ) blocks next;
     Array.blit next 0 blocks 0 n
-  in
-  while not !stable do
-    match mode with
-    | Plane.Interval -> round state_key_interval
-    | Plane.Exact -> round state_key_exact
   done;
-  (match mode with
-   | Plane.Interval -> Plane.record_pass ~points:!points ~residue:!residue
-   | Plane.Exact -> ());
   blocks
 
 let num_blocks partition =
@@ -172,11 +68,11 @@ let num_blocks partition =
   Array.iter (fun b -> Hashtbl.replace seen b ()) partition;
   Hashtbl.length seen
 
-let quotient (a : _ Arena.t) partition
-    ?(action_key = fun x -> Marshal.to_string x []) () =
+let quotient (a : _ Arena.t) partition ?(action_key = structural) () =
   let n = a.Arena.n in
   if Array.length partition <> n then
     invalid_arg "Bisim.quotient: partition array has wrong length";
+  let keys = action_keys action_key a in
   (* One representative per block. *)
   let rep = Hashtbl.create 64 in
   for i = n - 1 downto 0 do
@@ -186,7 +82,7 @@ let quotient (a : _ Arena.t) partition
     match Hashtbl.find_opt rep b with
     | None -> []
     | Some i ->
-      let sigs = state_signature ~action_key partition a i in
+      let sigs = state_signature keys partition a i in
       List.map
         (fun (key, entries) ->
            { Core.Pa.action = key; dist = Proba.Dist.make entries })

@@ -13,25 +13,19 @@
     instances of the dining philosophers are invariant under rotation,
     and the quotient factors that symmetry out automatically. *)
 
-(** [refine arena ~labels ?action_key ?plane ()] computes the coarsest
+(** [refine arena ~labels ?action_key ()] computes the coarsest
     bisimulation partition refining the [labels] partition (an
     arbitrary integer labelling of states -- e.g. 1 for target states
     and 0 elsewhere).  [action_key] collapses actions before matching
     steps (default: structural identity), which is how symmetric
     systems are minimized: mapping [flip_0 .. flip_n] all to ["flip"]
-    lets rotations of the ring fall into the same class.  Returns the
-    block index of every state.
-
-    [?plane] (default: {!Plane.get_default}) selects how per-block
-    weights are compared.  Under {!Plane.Interval} each state's step
-    signatures are first summed on the outward-rounded interval plane;
-    states whose sums all collapse to points (every state of a dyadic
-    model) are grouped by those doubles directly, and only the residue
-    recomputes exact rational signatures.  The resulting partition --
-    including block numbering -- is identical on both planes. *)
+    lets rotations of the ring fall into the same class.  Per-block
+    weights are compared exactly, on the arena's rational plane.
+    Returns the block index of every state; blocks are numbered in
+    first-encounter order of the final refinement sweep. *)
 val refine :
   ('s, 'a) Arena.t -> labels:int array -> ?action_key:('a -> string) ->
-  ?plane:Plane.t -> unit -> int array
+  unit -> int array
 
 val num_blocks : int array -> int
 

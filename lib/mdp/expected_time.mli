@@ -42,18 +42,6 @@ val min_expected_ticks :
   ('s, 'a) Arena.t -> target:bool array ->
   ?epsilon:float -> ?max_sweeps:int -> unit -> float array
 
-(** Certified two-sided bracket of {!max_expected_ticks}: the same
-    Gauss-Seidel sweep schedule carried on the outward-rounded
-    {!Proba.Interval} plane, returning [(lo, hi)] endpoint arrays with
-    [lo.(i) <= v <= hi.(i)] for the exact real-arithmetic iterate [v]
-    at every sweep -- a soundness envelope the bare float plane cannot
-    provide.  Stops on the same [epsilon]/[max_sweeps] rule applied to
-    the largest endpoint movement.  Sequential only (the bracket is a
-    certificate of the sequential schedule). *)
-val max_expected_ticks_interval :
-  ('s, 'a) Arena.t -> target:bool array ->
-  ?epsilon:float -> ?max_sweeps:int -> unit -> float array * float array
-
 (** Like {!max_expected_ticks}, additionally extracting a memoryless
     worst-case adversary: [policy.(s)] is the index of the step the
     maximizing adversary takes at state [s] ([-1] at target, terminal,

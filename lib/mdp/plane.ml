@@ -1,7 +1,9 @@
 (* Probability-plane selection for the certifying engines.
 
-   [Interval] (the default) sweeps the outward-rounded interval plane
-   first and re-derives exact rationals only for residue states;
+   [Interval] (the default) runs the finite-horizon reachability
+   sweeps ([Finite_horizon], the plane's only consumer) on the
+   outward-rounded interval plane first and re-derives exact
+   rationals only for residue states;
    [Exact] is the escape hatch that forces the legacy pure-exact
    sweeps.  Both planes produce bit-identical verdicts and bounds —
    the interval pass is an oracle, never an answer — so the choice is

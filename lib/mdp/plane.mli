@@ -1,12 +1,13 @@
 (** Probability-plane selection for the certifying engines.
 
-    [Interval] (the default) lets threshold-style engines sweep the
-    outward-rounded {!Proba.Interval} plane first and re-derive exact
-    rationals only for the residue — states whose interval did not
-    collapse to a point.  [Exact] forces the legacy pure-exact sweeps.
-    Verdicts and all reported exact bounds are bit-identical on both
-    planes; the interval pass is an optimization oracle, never an
-    answer. *)
+    [Interval] (the default) lets the finite-horizon reachability
+    sweeps of {!Finite_horizon} -- the plane's only consumer -- run on
+    the outward-rounded {!Proba.Interval} plane first and re-derive
+    exact rationals only for the residue: states whose interval did
+    not collapse to a point.  [Exact] forces the legacy pure-exact
+    sweeps.  Verdicts and all reported exact bounds are bit-identical
+    on both planes; the interval pass is an optimization oracle, never
+    an answer. *)
 
 type t = Exact | Interval
 
@@ -37,12 +38,11 @@ val resolve : t option -> t
 (** {1 Interval-pass statistics}
 
     Cumulative process-global counters, surfaced by
-    [prtb check --stats].  A "pass" is one interval-guided layer or
-    refinement run; [point_states]/[residue_states] count how many
-    per-state results the interval oracle pinned vs. left for exact
-    recomputation, and [exact_fallbacks] counts layers where the
-    interval fixpoint failed to close and the whole layer was redone
-    exactly. *)
+    [prtb check --stats].  A "pass" is one interval-guided layer;
+    [point_states]/[residue_states] count how many per-state results
+    the interval oracle pinned vs. left for exact recomputation, and
+    [exact_fallbacks] counts layers where the interval fixpoint failed
+    to close and the whole layer was redone exactly. *)
 
 type stats = {
   interval_passes : int;

@@ -3,10 +3,11 @@
    An interval [{lo; hi}] encloses an exact real: every operation
    rounds its lower endpoint down and its upper endpoint up, so the
    enclosure is preserved without ever touching exact arithmetic.  The
-   engines use intervals as a sound oracle: a *point* interval
-   (lo = hi, finite) pins the enclosed value to exactly one rational
-   ([Rational.of_float_exact]), letting them skip the exact
-   recomputation entirely; a wide interval marks residue work.
+   guided finite-horizon sweeps use intervals as a sound oracle: a
+   *point* interval (lo = hi, finite) pins the enclosed value to
+   exactly one rational ([Rational.of_float_exact]), letting them skip
+   the exact recomputation entirely; a wide interval marks residue
+   work.
 
    OCaml gives no access to the FPU rounding mode, so the directed
    helpers below recover each operation's exact residual
@@ -110,61 +111,4 @@ let[@inline] mul_up a b =
 (* ------------------------------------------------------------------ *)
 (* Intervals. *)
 
-let make lo hi =
-  if Float.is_nan lo || Float.is_nan hi || lo > hi then
-    invalid_arg "Interval.make: empty or nan interval";
-  { lo; hi }
-
-let of_float f =
-  if Float.is_nan f then invalid_arg "Interval.of_float: nan";
-  { lo = f; hi = f }
-
-let zero = { lo = 0.0; hi = 0.0 }
-let one = { lo = 1.0; hi = 1.0 }
 let of_rational q = { lo = Q.to_float_down q; hi = Q.to_float_up q }
-
-(* [lo = hi] as floats; both endpoints then denote the same real (the
-   only subtlety, -0. = +0., still pins the value 0). *)
-let is_point t = t.lo = t.hi
-
-let exact_value t =
-  if t.lo = t.hi && Float.is_finite t.lo then Some (Q.of_float_exact t.lo)
-  else None
-
-let add x y = { lo = add_down x.lo y.lo; hi = add_up x.hi y.hi }
-let neg x = { lo = -.x.hi; hi = -.x.lo }
-let sub x y = add x (neg y)
-
-let mul x y =
-  let a = x.lo and b = x.hi and c = y.lo and d = y.hi in
-  (* general sign handling: extremes over the four endpoint products *)
-  let lo =
-    Float.min
-      (Float.min (mul_down a c) (mul_down a d))
-      (Float.min (mul_down b c) (mul_down b d))
-  and hi =
-    Float.max
-      (Float.max (mul_up a c) (mul_up a d))
-      (Float.max (mul_up b c) (mul_up b d))
-  in
-  { lo; hi }
-
-(* min/max are exact componentwise: no rounding, no widening *)
-let min x y = { lo = Float.min x.lo y.lo; hi = Float.min x.hi y.hi }
-let max x y = { lo = Float.max x.lo y.lo; hi = Float.max x.hi y.hi }
-
-let contains t q =
-  (t.lo = neg_infinity || Q.leq (Q.of_float_exact t.lo) q)
-  && (t.hi = infinity || Q.leq q (Q.of_float_exact t.hi))
-
-let compare_to t q =
-  if Float.is_finite t.hi && Q.lt (Q.of_float_exact t.hi) q then Some (-1)
-  else if Float.is_finite t.lo && Q.gt (Q.of_float_exact t.lo) q then Some 1
-  else if t.lo = t.hi && Float.is_finite t.lo
-          && Q.equal (Q.of_float_exact t.lo) q
-  then Some 0
-  else None
-
-let width t = t.hi -. t.lo
-let equal x y = Float.equal x.lo y.lo && Float.equal x.hi y.hi
-let pp fmt t = Format.fprintf fmt "[%.17g, %.17g]" t.lo t.hi

@@ -2,12 +2,13 @@
 
     A value [{lo; hi}] encloses an exact real; every operation rounds
     [lo] down and [hi] up, so enclosures are preserved using nothing
-    but double arithmetic.  The checking engines sweep this plane
-    first and fall back to exact rationals only where the interval
-    stayed wide: a {e point} interval ([lo = hi], finite) contains
-    exactly one real, and that real is a dyadic rational recoverable
-    with {!Rational.of_float_exact} — so point results pin exact
-    values without any Bigint work.
+    but double arithmetic.  The guided finite-horizon sweeps
+    ([Mdp.Finite_horizon], over [Mdp.Arena.interval_plane]) run on
+    this plane first and fall back to exact rationals only where the
+    interval stayed wide: a {e point} interval ([lo = hi], finite)
+    contains exactly one real, and that real is a dyadic rational
+    recoverable with {!Rational.of_float_exact} — so point results pin
+    exact values without any Bigint work.
 
     The directed helpers are {e correctly rounded} wherever the
     operation's residual is exactly representable (always for [+.];
@@ -35,47 +36,6 @@ val mul_up : float -> float -> float
 
 (** {1 Construction} *)
 
-(** Raises [Invalid_argument] when [lo > hi] or an endpoint is nan. *)
-val make : float -> float -> t
-
-(** Point interval. Raises [Invalid_argument] on nan. *)
-val of_float : float -> t
-
 (** Tightest interval around an exact rational (correctly rounded
     endpoints; a point whenever the rational is a finite double). *)
 val of_rational : Rational.t -> t
-
-val zero : t
-val one : t
-
-(** {1 Interval arithmetic} *)
-
-val add : t -> t -> t
-val sub : t -> t -> t
-val neg : t -> t
-val mul : t -> t -> t
-
-(** Exact (no widening): interval min/max are componentwise. *)
-val min : t -> t -> t
-
-val max : t -> t -> t
-
-(** {1 Oracle queries} *)
-
-(** [lo = hi] — the interval pins a single real. *)
-val is_point : t -> bool
-
-(** The pinned rational of a finite point interval, [None] otherwise. *)
-val exact_value : t -> Rational.t option
-
-val contains : t -> Rational.t -> bool
-
-(** Sound three-way comparison against an exact rational: [Some c]
-    only when the interval proves it ([-1]: entirely below [q], [1]:
-    entirely above, [0]: point equal); [None] when the interval
-    straddles [q]. *)
-val compare_to : t -> Rational.t -> int option
-
-val width : t -> float
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

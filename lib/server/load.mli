@@ -6,9 +6,10 @@
     classified into [ok] (2xx), [rejected] (503 -- the daemon's
     backpressure answer, expected under deliberate overload), other
     HTTP errors, and {e protocol} errors (unparsable response,
-    unexpected close); a healthy run has zero of the last kind, which
-    is what the CI smoke asserts.  Connections closed by the server
-    (keep-alive recycling) are transparently reopened. *)
+    unexpected close); a healthy run has zero of the last two kinds,
+    which is what [prtb loadtest]'s exit status asserts.  Connections
+    closed by the server (keep-alive recycling) are transparently
+    reopened. *)
 
 type url = {
   host : string;

@@ -816,36 +816,48 @@ let prop_dyadic_boundary_canonical =
 
 (* ------------------------------------------------------------------ *)
 (* Interval: the outward-rounded double plane.  Soundness is the
-   invariant everything else rests on -- every operation's result
-   interval must contain the exact rational result -- and tightness
-   (point intervals whenever the result is representable) is what the
-   engines harvest, so both are property-tested against the rational
-   oracle, including operands promoted past the native-int tier. *)
+   invariant everything else rests on -- directed endpoints must
+   bracket the exact rational result -- and tightness (equal endpoints
+   whenever the result is representable) is what the guided sweeps
+   harvest, so both are property-tested against the rational oracle,
+   including operands promoted past the native-int tier.  Interval
+   operations are assembled here from the directed scalar helpers, the
+   way the engines use them. *)
+
+let endpoints iv = (I.lo iv, I.hi iv)
+let is_point (lo, hi) = lo = hi
+
+(* [lo <= q <= hi] as exact rationals (infinite endpoints bound
+   everything on their side); equal endpoints then pin [q] exactly. *)
+let encloses (lo, hi) q =
+  (lo = neg_infinity || Q.leq (Q.of_float_exact lo) q)
+  && (hi = infinity || Q.leq q (Q.of_float_exact hi))
+
+let add_iv (al, ah) (bl, bh) = (I.add_down al bl, I.add_up ah bh)
+let neg_iv (lo, hi) = (-.hi, -.lo)
+
+(* general sign handling: extremes over the four endpoint products *)
+let mul_iv (a, b) (c, d) =
+  ( Float.min
+      (Float.min (I.mul_down a c) (I.mul_down a d))
+      (Float.min (I.mul_down b c) (I.mul_down b d)),
+    Float.max
+      (Float.max (I.mul_up a c) (I.mul_up a d))
+      (Float.max (I.mul_up b c) (I.mul_up b d)) )
 
 let test_interval_basics () =
-  let half = I.of_rational Q.half in
-  Alcotest.(check bool) "1/2 is a point" true (I.is_point half);
-  check_q "1/2 pins 1/2" Q.half
-    (Option.get (I.exact_value half));
-  let third = I.of_rational (Q.of_ints 1 3) in
-  Alcotest.(check bool) "1/3 is not a point" false (I.is_point third);
+  let half = endpoints (I.of_rational Q.half) in
+  Alcotest.(check bool) "1/2 is a point" true (is_point half);
+  check_q "1/2 pins 1/2" Q.half (Q.of_float_exact (fst half));
+  let third = endpoints (I.of_rational (Q.of_ints 1 3)) in
+  Alcotest.(check bool) "1/3 is not a point" false (is_point third);
   Alcotest.(check bool) "1/3 interval is one ulp" true
-    (Float.succ (I.lo third) = I.hi third);
-  Alcotest.(check bool) "1/3 inside" true (I.contains third (Q.of_ints 1 3));
-  let q = I.add (I.of_rational (Q.of_ints 1 4)) (I.of_rational (Q.of_ints 1 4)) in
-  Alcotest.(check bool) "1/4+1/4 stays a point" true (I.is_point q);
-  check_q "1/4+1/4 pins 1/2" Q.half (Option.get (I.exact_value q))
-
-let test_interval_compare_to () =
-  let third = I.of_rational (Q.of_ints 1 3) in
-  Alcotest.(check (option int)) "1/3 < 1/2" (Some (-1))
-    (I.compare_to third Q.half);
-  Alcotest.(check (option int)) "1/3 > 1/4" (Some 1)
-    (I.compare_to third (Q.of_ints 1 4));
-  Alcotest.(check (option int)) "1/3 vs 1/3 undecided" None
-    (I.compare_to third (Q.of_ints 1 3));
-  Alcotest.(check (option int)) "1/2 = 1/2 decided" (Some 0)
-    (I.compare_to (I.of_rational Q.half) Q.half)
+    (Float.succ (fst third) = snd third);
+  Alcotest.(check bool) "1/3 inside" true (encloses third (Q.of_ints 1 3));
+  let quarter = endpoints (I.of_rational (Q.of_ints 1 4)) in
+  let q = add_iv quarter quarter in
+  Alcotest.(check bool) "1/4+1/4 stays a point" true (is_point q);
+  check_q "1/4+1/4 pins 1/2" Q.half (Q.of_float_exact (fst q))
 
 let test_directed_add_ulp () =
   (* 1 + 2^-60 rounds to nearest 1.0; the directed versions must
@@ -858,15 +870,6 @@ let test_directed_add_ulp () =
     (I.add_down 1.0 (-0x1p-60));
   Alcotest.(check (float 0.0)) "add_up exact side" 1.0
     (I.add_up 1.0 (-0x1p-60))
-
-(* The interval must contain the rational; when it is a point the
-   enclosure must be exact (this is what lets engines skip work). *)
-let encloses iv q =
-  I.contains iv q
-  && (not (I.is_point iv)
-      || (match I.exact_value iv with
-          | Some p -> Q.equal p q
-          | None -> true))
 
 let prop_interval_of_rational_correctly_rounded =
   (* [to_float_down q] is the largest double <= q (and dually): the
@@ -882,12 +885,11 @@ let prop_interval_of_rational_correctly_rounded =
 let prop_interval_ops_sound =
   QCheck.Test.make ~name:"interval ops contain the rational result"
     ~count:1000 (QCheck.pair rational_arb rational_arb) (fun (a, b) ->
-        let ia = I.of_rational a and ib = I.of_rational b in
-        encloses (I.add ia ib) (Q.add a b)
-        && encloses (I.sub ia ib) (Q.sub a b)
-        && encloses (I.mul ia ib) (Q.mul a b)
-        && encloses (I.min ia ib) (if Q.leq a b then a else b)
-        && encloses (I.max ia ib) (if Q.leq a b then b else a))
+        let ia = endpoints (I.of_rational a)
+        and ib = endpoints (I.of_rational b) in
+        encloses (add_iv ia ib) (Q.add a b)
+        && encloses (add_iv ia (neg_iv ib)) (Q.sub a b)
+        && encloses (mul_iv ia ib) (Q.mul a b))
 
 let prop_interval_promoted_sound =
   (* Operands built from boundary ints land in the Bigint tier; the
@@ -899,10 +901,11 @@ let prop_interval_promoted_sound =
     (fun ((n1, d1), (n2, d2)) ->
        let a = Q.of_ints n1 d1 and b = Q.of_ints n2 d2 in
        let big = Q.mul a b in
-       let ia = I.of_rational a and ib = I.of_rational b in
-       I.contains (I.of_rational big) big
-       && encloses (I.mul ia ib) big
-       && encloses (I.add ia ib) (Q.add a b))
+       let ia = endpoints (I.of_rational a)
+       and ib = endpoints (I.of_rational b) in
+       encloses (endpoints (I.of_rational big)) big
+       && encloses (mul_iv ia ib) big
+       && encloses (add_iv ia ib) (Q.add a b))
 
 let prop_interval_dyadic_points =
   (* Small dyadics are exactly representable, and so are their sums
@@ -919,12 +922,12 @@ let prop_interval_dyadic_points =
      QCheck.make ~print:Q.to_string gen
      |> fun arb -> QCheck.pair arb arb)
     (fun (a, b) ->
-       let ia = I.of_rational a and ib = I.of_rational b in
-       I.is_point ia && I.is_point ib
-       && encloses (I.add ia ib) (Q.add a b)
-       && I.is_point (I.add ia ib)
-       && encloses (I.mul ia ib) (Q.mul a b)
-       && I.is_point (I.mul ia ib))
+       let ia = endpoints (I.of_rational a)
+       and ib = endpoints (I.of_rational b) in
+       let sum = add_iv ia ib and prod = mul_iv ia ib in
+       is_point ia && is_point ib
+       && encloses sum (Q.add a b) && is_point sum
+       && encloses prod (Q.mul a b) && is_point prod)
 
 let prop_of_float_exact_roundtrip =
   QCheck.Test.make ~name:"of_float_exact roundtrips through to_float_*"
@@ -932,13 +935,6 @@ let prop_of_float_exact_roundtrip =
         let f = Q.to_float_down q in
         let r = Q.of_float_exact f in
         Float.equal (Q.to_float_down r) f && Float.equal (Q.to_float_up r) f)
-
-let prop_interval_compare_to_agrees =
-  QCheck.Test.make ~name:"interval compare_to agrees with rational compare"
-    ~count:1000 (QCheck.pair rational_arb rational_arb) (fun (a, b) ->
-        match I.compare_to (I.of_rational a) b with
-        | None -> true (* undecided is always allowed *)
-        | Some c -> Stdlib.compare (Q.compare a b) 0 = c)
 
 (* ------------------------------------------------------------------ *)
 
@@ -980,13 +976,11 @@ let () =
           prop_dyadic_boundary_canonical ];
       ("interval",
        [ Alcotest.test_case "basics" `Quick test_interval_basics;
-         Alcotest.test_case "compare_to" `Quick test_interval_compare_to;
          Alcotest.test_case "directed add ulp" `Quick test_directed_add_ulp ]);
       qsuite "interval-props"
         [ prop_interval_of_rational_correctly_rounded;
           prop_interval_ops_sound; prop_interval_promoted_sound;
-          prop_interval_dyadic_points; prop_of_float_exact_roundtrip;
-          prop_interval_compare_to_agrees ];
+          prop_interval_dyadic_points; prop_of_float_exact_roundtrip ];
       ("rational",
        [ Alcotest.test_case "canonical" `Quick test_rational_canonical;
          Alcotest.test_case "arith" `Quick test_rational_arith;
