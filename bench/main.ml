@@ -29,8 +29,19 @@ module BO = Ben_or
 (* ----------------------------------------------------------------- *)
 (* Kernels shared by the benchmarks (prepared once). *)
 
-let lr3 = lazy (Models.lr ~n:3 ())
-let ir4 = lazy (Models.election ~n:4 ())
+let lr3_config = Models.config ~model:`Lr ~n:3 ()
+
+let lr3 =
+  lazy
+    (match Models.get lr3_config with
+     | Models.Lr i -> i
+     | _ -> assert false)
+
+let ir4 =
+  lazy
+    (match Models.get (Models.config ~model:`Election ~n:4 ()) with
+     | Models.Election i -> i
+     | _ -> assert false)
 
 let bench_tests () =
   let lr3 = Lazy.force lr3 in
@@ -91,19 +102,29 @@ let bench_tests () =
       (Staged.stage (fun () -> IR.Proof.arrows ir4))
   in
   let e10 =
-    let star = Models.lr_topo ~topo:(LR.Topology.star 3) () in
+    let star =
+      match Models.get (Models.config ~topology:"star" ~model:`Lr ~n:3 ()) with
+      | Models.Lr_topo i -> i
+      | _ -> assert false
+    in
     Test.make ~name:"e10:star topology arrows"
       (Staged.stage (fun () -> LR.Proof.arrows_topo star))
   in
   let e11 =
-    let coin = Models.coin ~n:2 ~bound:4 () in
+    let coin =
+      match Models.get (Models.config ~bound:4 ~model:`Coin ~n:2 ()) with
+      | Models.Coin i -> i
+      | _ -> assert false
+    in
     Test.make ~name:"e11:shared coin pipeline (n=2, B=4)"
       (Staged.stage (fun () ->
            (SC.Proof.arrows coin, SC.Proof.expected_exact coin)))
   in
   let e12 =
     let consensus =
-      Models.consensus ~n:3 ~f:1 ~cap:2 ~initial:[| false; false; true |] ()
+      match Models.get (Models.config ~cap:2 ~model:`Consensus ~n:3 ()) with
+      | Models.Consensus i -> i
+      | _ -> assert false
     in
     Test.make ~name:"e12:Ben-Or safety + 2-round bound (n=3)"
       (Staged.stage (fun () ->
@@ -300,12 +321,7 @@ let bench_tests () =
      + fragment rebuild + arena assembly + fingerprint comparison.
      Encoded once outside the measured region. *)
   let snapshot_tests =
-    let config =
-      { Snapshot.Store.model = "lr"; n = 3; g = 1; k = 1;
-        topology = "ring"; bound = 0; cap = 0; f = 0; initial = [||];
-        sym = Analysis.Symmetry.Off }
-    in
-    let bytes = Snapshot.Store.encode config (Snapshot.Store.Lr lr3) in
+    let bytes = Snapshot.Store.encode lr3_config (Models.Lr lr3) in
     [ Test.make ~name:"serve:snapshot-cold (decode + assemble lr n=3)"
         (Staged.stage (fun () ->
              match Snapshot.Store.of_string bytes with

@@ -200,106 +200,110 @@ let print_cert (cert : Analysis.Symmetry.certificate option) =
       (if c.Analysis.Symmetry.reduced then " (quotient exploration)"
        else "")
 
-let check_lr_topo topo g k sym =
-  Printf.printf "Lehmann-Rabin on %s, g=%d k=%d\n%!"
-    (LR.Topology.name topo) g k;
-  let inst = Models.lr_topo ~topo ~g ~k ~sym () in
-  print_states "reachable states"
-    (Mdp.Arena.num_states inst.LR.Proof.tarena) inst.LR.Proof.tsym;
-  print_cert inst.LR.Proof.tsym;
-  (match LR.Proof.invariant_topo inst with
-   | None ->
-     Printf.printf "Lemma 6.1 (generalized): holds on every reachable state\n%!"
-   | Some s -> Format.printf "Lemma 6.1 VIOLATED at %a@." LR.State.pp s);
-  let arrows = LR.Proof.arrows_topo inst in
-  List.iter
-    (fun a ->
-       Format.printf "%-5s attained %s (%s)@." a.LR.Proof.label
-         (Q.to_string a.LR.Proof.attained)
-         (match a.LR.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
-    arrows;
-  (match LR.Proof.compose_topo inst arrows with
-   | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
-   | Error e -> Printf.printf "composition failed: %s\n" e);
-  Printf.printf "direct 13-unit minimum: %s; worst expected time: %.3f\n"
-    (Q.to_string (LR.Proof.direct_bound_topo inst))
-    (LR.Proof.max_expected_time_topo inst)
-
-let check_lr n g k sym =
-  Printf.printf "Lehmann-Rabin, n=%d g=%d k=%d\n%!" n g k;
-  let inst = Models.lr ~n ~g ~k ~sym () in
-  print_states "reachable states"
-    (Mdp.Arena.num_states inst.LR.Proof.arena) inst.LR.Proof.sym;
-  print_cert inst.LR.Proof.sym;
-  (match LR.Invariant.check inst.LR.Proof.expl with
-   | None -> Printf.printf "Lemma 6.1: holds on every reachable state\n%!"
-   | Some s ->
-     Format.printf "Lemma 6.1 VIOLATED at %a@." LR.State.pp s);
-  let arrows = LR.Proof.arrows inst in
-  List.iter
-    (fun a ->
-       Format.printf "%-5s %s -%s->_%s %s : attained %s (%s)@."
-         a.LR.Proof.label
-         (Core.Pred.name a.LR.Proof.pre)
-         (Q.to_string a.LR.Proof.time) (Q.to_string a.LR.Proof.prob)
-         (Core.Pred.name a.LR.Proof.post)
-         (Q.to_string a.LR.Proof.attained)
-         (match a.LR.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
-    arrows;
-  (match LR.Proof.compose inst arrows with
-   | Ok claim ->
-     Format.printf "@.composed: %a@.@.%a@." Core.Claim.pp claim
-       Core.Claim.pp_derivation claim
-   | Error e -> Printf.printf "composition failed: %s\n" e);
-  Format.printf "@.expected-time derivation:@.%a@." Core.Expected.pp
-    (LR.Proof.expected_bound ());
-  Printf.printf "measured worst-case expected time: %.3f\n"
-    (LR.Proof.max_expected_time inst)
-
-let check_election n g k sym =
-  ignore g; ignore k;
-  Printf.printf "Leader election, n=%d\n%!" n;
-  let inst = Models.election ~n ~sym () in
-  print_states "reachable states"
-    (Mdp.Arena.num_states inst.IR.Proof.arena) inst.IR.Proof.sym;
-  print_cert inst.IR.Proof.sym;
-  let arrows = IR.Proof.arrows inst in
-  List.iter
-    (fun a ->
-       Format.printf "%-4s attained %s (%s)@." a.IR.Proof.label
-         (Q.to_string a.IR.Proof.attained)
-         (match a.IR.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
-    arrows;
-  (match IR.Proof.compose inst arrows with
-   | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
-   | Error e -> Printf.printf "composition failed: %s\n" e);
-  Printf.printf "expected bound: %s; measured worst case: %.3f\n"
-    (Q.to_string (Core.Expected.value (IR.Proof.expected_bound ~n)))
-    (IR.Proof.max_expected_time inst)
-
-let check_coin n bound sym =
-  Printf.printf "Shared coin, n=%d barrier=±%d\n%!" n bound;
-  let inst = Models.coin ~n ~bound ~sym () in
-  print_states "reachable states"
-    (Mdp.Arena.num_states inst.SC.Proof.arena) inst.SC.Proof.sym;
-  print_cert inst.SC.Proof.sym;
-  let arrows = SC.Proof.arrows inst in
-  List.iter
-    (fun a ->
-       Format.printf "%-4s attained %s (%s)@." a.SC.Proof.label
-         (Q.to_string a.SC.Proof.attained)
-         (match a.SC.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
-    arrows;
-  (match SC.Proof.compose inst arrows with
-   | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
-   | Error e -> Printf.printf "composition failed: %s\n" e);
-  Printf.printf
-    "direct minimum within %d: %s\nexpected time: exact %.3f vs B^2/n = \
-     %.3f\n"
-    bound
-    (Q.to_string (SC.Proof.direct_bound inst))
-    (SC.Proof.expected_exact inst)
-    (SC.Proof.expected_theory inst)
+(* The text report: a header from the config, then the instance's
+   state count, symmetry certificate and results. *)
+let check_text (config : Models.config) =
+  let { Models.model; n; g; k; topology; bound; cap; f; _ } = config in
+  (match model with
+   | `Lr when topology = "ring" ->
+     Printf.printf "Lehmann-Rabin, n=%d g=%d k=%d\n%!" n g k
+   | `Lr ->
+     Printf.printf "Lehmann-Rabin on %s(%d), g=%d k=%d\n%!" topology n g k
+   | `Election -> Printf.printf "Leader election, n=%d\n%!" n
+   | `Coin -> Printf.printf "Shared coin, n=%d barrier=±%d\n%!" n bound
+   | `Consensus ->
+     Printf.printf "Ben-Or consensus, n=%d f=%d cap=%d rounds, mixed start\n%!"
+       n f cap);
+  let inst = Models.get config in
+  Models.with_arena
+    { Models.apply =
+        (fun arena cert ->
+           print_states "reachable states" (Mdp.Arena.num_states arena) cert;
+           print_cert cert) }
+    inst;
+  let holds = function Some _ -> "holds" | None -> "FAILS" in
+  match inst with
+  | Models.Lr_topo inst ->
+    (match LR.Proof.invariant_topo inst with
+     | None ->
+       Printf.printf
+         "Lemma 6.1 (generalized): holds on every reachable state\n%!"
+     | Some s -> Format.printf "Lemma 6.1 VIOLATED at %a@." LR.State.pp s);
+    let arrows = LR.Proof.arrows_topo inst in
+    List.iter
+      (fun a ->
+         Format.printf "%-5s attained %s (%s)@." a.LR.Proof.label
+           (Q.to_string a.LR.Proof.attained) (holds a.LR.Proof.claim))
+      arrows;
+    (match LR.Proof.compose_topo inst arrows with
+     | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
+     | Error e -> Printf.printf "composition failed: %s\n" e);
+    Printf.printf "direct 13-unit minimum: %s; worst expected time: %.3f\n"
+      (Q.to_string (LR.Proof.direct_bound_topo inst))
+      (LR.Proof.max_expected_time_topo inst)
+  | Models.Lr inst ->
+    (match LR.Invariant.check inst.LR.Proof.expl with
+     | None -> Printf.printf "Lemma 6.1: holds on every reachable state\n%!"
+     | Some s ->
+       Format.printf "Lemma 6.1 VIOLATED at %a@." LR.State.pp s);
+    let arrows = LR.Proof.arrows inst in
+    List.iter
+      (fun a ->
+         Format.printf "%-5s %s -%s->_%s %s : attained %s (%s)@."
+           a.LR.Proof.label
+           (Core.Pred.name a.LR.Proof.pre)
+           (Q.to_string a.LR.Proof.time) (Q.to_string a.LR.Proof.prob)
+           (Core.Pred.name a.LR.Proof.post)
+           (Q.to_string a.LR.Proof.attained) (holds a.LR.Proof.claim))
+      arrows;
+    (match LR.Proof.compose inst arrows with
+     | Ok claim ->
+       Format.printf "@.composed: %a@.@.%a@." Core.Claim.pp claim
+         Core.Claim.pp_derivation claim
+     | Error e -> Printf.printf "composition failed: %s\n" e);
+    Format.printf "@.expected-time derivation:@.%a@." Core.Expected.pp
+      (LR.Proof.expected_bound ());
+    Printf.printf "measured worst-case expected time: %.3f\n"
+      (LR.Proof.max_expected_time inst)
+  | Models.Election inst ->
+    let arrows = IR.Proof.arrows inst in
+    List.iter
+      (fun a ->
+         Format.printf "%-4s attained %s (%s)@." a.IR.Proof.label
+           (Q.to_string a.IR.Proof.attained) (holds a.IR.Proof.claim))
+      arrows;
+    (match IR.Proof.compose inst arrows with
+     | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
+     | Error e -> Printf.printf "composition failed: %s\n" e);
+    Printf.printf "expected bound: %s; measured worst case: %.3f\n"
+      (Q.to_string (Core.Expected.value (IR.Proof.expected_bound ~n)))
+      (IR.Proof.max_expected_time inst)
+  | Models.Coin inst ->
+    let arrows = SC.Proof.arrows inst in
+    List.iter
+      (fun a ->
+         Format.printf "%-4s attained %s (%s)@." a.SC.Proof.label
+           (Q.to_string a.SC.Proof.attained) (holds a.SC.Proof.claim))
+      arrows;
+    (match SC.Proof.compose inst arrows with
+     | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
+     | Error e -> Printf.printf "composition failed: %s\n" e);
+    Printf.printf
+      "direct minimum within %d: %s\nexpected time: exact %.3f vs B^2/n = \
+       %.3f\n"
+      bound
+      (Q.to_string (SC.Proof.direct_bound inst))
+      (SC.Proof.expected_exact inst)
+      (SC.Proof.expected_theory inst)
+  | Models.Consensus inst ->
+    Printf.printf "agreement: %s\n"
+      (match BO.Proof.agreement_violation inst with
+       | None -> "holds" | Some _ -> "VIOLATED");
+    List.iteri
+      (fun idx q ->
+         Printf.printf "min P[decided within %d round(s)] = %s\n" (idx + 1)
+           (Q.to_string q))
+      (BO.Proof.decision_curve inst ~rounds:(List.init cap (fun r -> r + 1)))
 
 let check_lr_faults n g k faults budget release seed =
   Printf.printf
@@ -336,25 +340,6 @@ let check_lr_faults n g k faults budget release seed =
      | Error e -> Printf.printf "  composition failed: %s\n" e);
     Printf.printf "  direct 13-unit minimum: %s\n"
       (Q.to_string d.Faults.Lr.direct)
-
-let check_consensus n cap sym =
-  let f = (n - 1) / 2 in
-  let initial = Array.init n (fun i -> i = n - 1) in
-  Printf.printf "Ben-Or consensus, n=%d f=%d cap=%d rounds, mixed start\n%!"
-    n f cap;
-  let inst = BO.Proof.build ~n ~f ~cap ~initial ~sym () in
-  print_states "reachable states"
-    (Mdp.Explore.num_states inst.BO.Proof.expl) inst.BO.Proof.sym;
-  print_cert inst.BO.Proof.sym;
-  Printf.printf "agreement: %s\n"
-    (match BO.Proof.agreement_violation inst with
-     | None -> "holds" | Some _ -> "VIOLATED");
-  List.iteri
-    (fun idx q ->
-       Printf.printf "min P[decided within %d round(s)] = %s\n" (idx + 1)
-         (Q.to_string q))
-    (BO.Proof.decision_curve inst
-       ~rounds:(List.init cap (fun r -> r + 1)))
 
 let system_arg =
   let parse = function
@@ -442,29 +427,23 @@ let plane_to_string = function
 (* The served and CLI JSON bodies are bit-identical because both print
    [Server.Service.check_json] (and [cert_json] for certificates);
    test/test_server.ml holds the two byte-for-byte equal. *)
-let cli_check_query system n g k topology bound cap sym plane deadline =
-  let topology = Option.value topology ~default:"ring" in
-  (match system, topology with
-   | `Lr, ("ring" | "line" | "star") -> ()
-   | `Lr, other -> failwith (Printf.sprintf "unknown topology %S" other)
-   | _, "ring" -> ()
-   | _, other ->
-     failwith (Printf.sprintf "topology %S applies to the lr system only" other));
-  { Server.Protocol.model = system; n; g; k; topology; bound; cap;
-    max_states = None; sym = Analysis.Symmetry.mode_to_string sym;
-    plane = plane_to_string plane;
-    deadline_ms = deadline }
+let cli_check_query (c : Models.config) plane deadline =
+  { Server.Protocol.model = c.Models.model; n = c.Models.n; g = c.Models.g;
+    k = c.Models.k; topology = c.Models.topology; bound = c.Models.bound;
+    cap = c.Models.cap; max_states = None;
+    sym = Analysis.Symmetry.mode_to_string c.Models.sym;
+    plane = plane_to_string plane; deadline_ms = deadline }
 
-let check_json system n g k topology bound cap sym plane deadline =
-  let q = cli_check_query system n g k topology bound cap sym plane deadline in
+let check_json config plane deadline =
+  let q = cli_check_query config plane deadline in
   print_endline (Analysis.Json.to_string (Server.Service.check_json q))
 
 (* --emit-cert prints the /cert body.  A non-certificate header
    (uncertified, exhausted, ...) still prints -- same bytes the server
    would serve -- but exits nonzero so scripts cannot mistake it for a
    certificate. *)
-let emit_cert_json system n g k topology bound cap sym plane deadline =
-  let q = cli_check_query system n g k topology bound cap sym plane deadline in
+let emit_cert_json config plane deadline =
+  let q = cli_check_query config plane deadline in
   let body = Server.Service.cert_json q in
   print_endline (Analysis.Json.to_string body);
   match body with
@@ -511,43 +490,36 @@ let check_cmd =
     Mdp.Plane.set_default plane;
     try
       Ok
-        ((match format, emit_cert, faults with
-         | _, true, Some _ ->
+        ((match faults with
+         | Some _ when emit_cert ->
            failwith "--emit-cert does not cover --faults runs; drop one"
-         | _, true, None ->
-           emit_cert_json system n g k topology bound cap sym plane deadline
-         | `Json, false, Some _ ->
+         | Some _ when format = `Json ->
            failwith "--format json does not cover --faults runs; drop one"
-         | `Json, false, None ->
-           check_json system n g k topology bound cap sym plane deadline
-         | `Text, false, _ ->
+         | Some f ->
            under_cli_deadline deadline @@ fun () ->
-           match system with
-         | `Lr ->
-           (match faults, topology with
-            | Some f, (None | Some "ring") ->
+           (match system, topology with
+            | `Lr, (None | Some "ring") ->
               check_lr_faults n g k f
                 (Option.value budget ~default:Core.Budget.unlimited)
                 release seed
-            | Some _, Some other ->
+            | `Lr, Some other ->
               failwith
                 (Printf.sprintf
                    "fault injection is modelled on the ring topology only \
                     (got %S)" other)
-            | None, (None | Some "ring") -> check_lr n g k sym
-            | None, Some "line" -> check_lr_topo (LR.Topology.line n) g k sym
-            | None, Some "star" -> check_lr_topo (LR.Topology.star n) g k sym
-            | None, Some other ->
-              failwith (Printf.sprintf "unknown topology %S" other))
-         | `Election | `Coin | `Consensus when faults <> None ->
-           failwith
-             "fault injection is currently modelled for the lr system only"
-         | `Election -> check_election n g k sym
-         | `Coin -> check_coin n bound sym
-         | `Consensus -> check_consensus n cap sym);
+            | (`Election | `Coin | `Consensus), _ ->
+              failwith
+                "fault injection is currently modelled for the lr system only")
+         | None ->
+           let config =
+             Models.config ~g ~k ?topology ~bound ~cap ~sym ~model:system ~n ()
+           in
+           if emit_cert then emit_cert_json config plane deadline
+           else if format = `Json then check_json config plane deadline
+           else under_cli_deadline deadline (fun () -> check_text config));
          report_stats stats)
     with
-    | Failure msg -> Error (`Msg msg)
+    | Failure msg | Invalid_argument msg -> Error (`Msg msg)
     | Analysis.Symmetry.Not_certified msg ->
       Error
         (`Msg
@@ -638,11 +610,9 @@ let verify_cert_cmd =
 (* ----------------------------------------------------------------- *)
 (* compile *)
 
-(* [prtb compile] uses the same registry builders the server uses for
-   the same query, so the snapshotted arena (and its fingerprint) is
-   bit-identical to what [prtb serve] would compile on demand.  The
-   consensus conventions mirror lib/server/service.ml: f = (n-1)/2 and
-   a mixed start with exactly one process estimating 1. *)
+(* [prtb compile] resolves the same [Models.config] the server builds
+   for the same query, so the snapshotted arena (and its fingerprint)
+   is bit-identical to what [prtb serve] would compile on demand. *)
 let compile_cmd =
   let output =
     Arg.(required & opt (some string) None
@@ -663,53 +633,16 @@ let compile_cmd =
       output =
     install_domains domains;
     try
-      let topology = Option.value topology ~default:"ring" in
-      (match system, topology with
-       | `Lr, ("ring" | "line" | "star") -> ()
-       | `Lr, other -> failwith (Printf.sprintf "unknown topology %S" other)
-       | _, "ring" -> ()
-       | _, other ->
-         failwith
-           (Printf.sprintf "topology %S applies to the lr system only" other));
-      let base =
-        { Snapshot.Store.model = "lr"; n; g; k; topology; bound = 0;
-          cap = 0; f = 0; initial = [||]; sym }
+      let config =
+        Models.config ~g ~k ?topology ~bound ~cap ~sym ~model:system ~n ()
       in
-      let config, loaded =
-        match system with
-        | `Lr when topology = "ring" ->
-          (base, Snapshot.Store.Lr (Models.lr ?max_states ~g ~k ~sym ~n ()))
-        | `Lr ->
-          let topo =
-            if topology = "line" then LR.Topology.line n
-            else LR.Topology.star n
-          in
-          ( base,
-            Snapshot.Store.Lr_topo
-              (Models.lr_topo ?max_states ~g ~k ~sym ~topo ()) )
-        | `Election ->
-          ( { base with Snapshot.Store.model = "election" },
-            Snapshot.Store.Election
-              (Models.election ?max_states ~g ~k ~sym ~n ()) )
-        | `Coin ->
-          ( { base with Snapshot.Store.model = "coin"; bound },
-            Snapshot.Store.Coin
-              (Models.coin ?max_states ~g ~k ~sym ~n ~bound ()) )
-        | `Consensus ->
-          let f = (n - 1) / 2 in
-          let initial = Array.init n (fun i -> i = n - 1) in
-          ( { base with Snapshot.Store.model = "consensus"; cap; f; initial },
-            Snapshot.Store.Consensus
-              (Models.consensus ?max_states ~g ~k ~sym ~n ~f ~cap ~initial
-                 ()) )
-      in
-      Snapshot.Store.save ~path:output config loaded;
-      Printf.printf "wrote %s: %s\n" output
-        (Snapshot.Store.describe config loaded);
+      let inst = Models.get ?max_states config in
+      Snapshot.Store.save ~path:output config inst;
+      Printf.printf "wrote %s: %s\n" output (Models.describe config inst);
       report_stats stats;
       Ok ()
     with
-    | Failure msg | Sys_error msg -> Error (`Msg msg)
+    | Failure msg | Invalid_argument msg | Sys_error msg -> Error (`Msg msg)
     | Analysis.Symmetry.Not_certified msg ->
       Error
         (`Msg
@@ -741,25 +674,22 @@ let compile_cmd =
 (* ----------------------------------------------------------------- *)
 (* simulate *)
 
+(* The same g = k = 1 set-ups /simulate runs (coin barrier 4,
+   consensus over 50 rounds); --scheduler applies to lr only and
+   --within to lr only. *)
 let simulate domains system n scheduler trials seed within =
   install_domains domains;
-  match system with
-  | `Lr ->
-    let params = { LR.Automaton.n; g = 1; k = 1 } in
-    let pa = LR.Automaton.make params in
-    let sched =
-      match List.assoc_opt scheduler (LR.Schedulers.all pa) with
-      | Some s -> s
-      | None -> failwith (Printf.sprintf "unknown scheduler %S" scheduler)
+  let config = Models.config ~cap:50 ~model:system ~n () in
+  let scheduler = if system = `Lr then Some scheduler else None in
+  match Models.simulation ?scheduler config with
+  | Error msg -> failwith msg
+  | Ok (Models.Simulation { setup; target; _ }) ->
+    let time () =
+      Sim.Monte_carlo.estimate_time setup ~target ~trials ~seed ()
     in
-    let setup =
-      { Sim.Monte_carlo.pa; scheduler = sched;
-        duration = LR.Automaton.duration;
-        start = LR.State.all_trying ~n ~g:1 ~k:1 }
-    in
-    let target = Core.Pred.mem LR.Regions.c in
-    (match within with
-     | Some t ->
+    let scheduler = Option.value scheduler ~default:"uniform" in
+    (match system, within with
+     | `Lr, Some t ->
        let prop =
          Sim.Monte_carlo.estimate_reach setup ~target ~within:t ~trials ~seed
        in
@@ -770,68 +700,35 @@ let simulate domains system n scheduler trials seed within =
          t
          (Proba.Stat.Proportion.estimate prop)
          lo hi trials scheduler
-     | None ->
-       let summary, missed =
-         Sim.Monte_carlo.estimate_time setup ~target ~trials ~seed ()
-       in
+     | `Lr, None ->
+       let summary, missed = time () in
        let lo, hi = Proba.Stat.Summary.mean_ci summary in
        Printf.printf
          "E[time to critical] ~ %.3f  (95%% CI [%.3f, %.3f], %d trials, %d \
           missed, scheduler %s; paper bound 63)\n"
          (Proba.Stat.Summary.mean summary)
-         lo hi trials missed scheduler)
-  | `Consensus ->
-    let f = (n - 1) / 2 in
-    let params = { BO.Automaton.n; f; cap = 50; g = 1; k = 1 } in
-    let initial = Array.init n (fun i -> i = n - 1) in
-    let pa = BO.Automaton.make ~initial params in
-    let setup =
-      { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-        duration = BO.Automaton.duration;
-        start = BO.Automaton.start params initial }
-    in
-    ignore within;
-    let summary, missed =
-      Sim.Monte_carlo.estimate_time setup ~target:BO.Automaton.some_decided
-        ~trials ~seed ()
-    in
-    Printf.printf
-      "E[decision time] ~ %.3f  (%d trials, %d missed; mixed start, \
-       uniform scheduler)\n"
-      (Proba.Stat.Summary.mean summary) trials missed
-  | `Coin ->
-    let params = { SC.Automaton.n; bound = 4; g = 1; k = 1 } in
-    let pa = SC.Automaton.make params in
-    let setup =
-      { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-        duration = SC.Automaton.duration; start = SC.Automaton.start params }
-    in
-    let summary, missed =
-      Sim.Monte_carlo.estimate_time setup
-        ~target:(SC.Automaton.decided params) ~trials ~seed ()
-    in
-    ignore within;
-    Printf.printf
-      "E[decision time] ~ %.3f  (%d trials, %d missed; B^2/n = %.3f)\n"
-      (Proba.Stat.Summary.mean summary)
-      trials missed
-      (SC.Proof.theory params)
-  | `Election ->
-    let params = { IR.Automaton.n; g = 1; k = 1 } in
-    let pa = IR.Automaton.make params in
-    let setup =
-      { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-        duration = IR.Automaton.duration; start = IR.Automaton.start params }
-    in
-    let summary, missed =
-      Sim.Monte_carlo.estimate_time setup ~target:IR.Automaton.leader_elected
-        ~trials ~seed ()
-    in
-    Printf.printf
-      "E[election time] ~ %.3f  (%d trials, %d missed; derived bound %d)\n"
-      (Proba.Stat.Summary.mean summary)
-      trials missed
-      (2 * (n - 1))
+         lo hi trials missed scheduler
+     | `Consensus, _ ->
+       let summary, missed = time () in
+       Printf.printf
+         "E[decision time] ~ %.3f  (%d trials, %d missed; mixed start, \
+          uniform scheduler)\n"
+         (Proba.Stat.Summary.mean summary) trials missed
+     | `Coin, _ ->
+       let summary, missed = time () in
+       Printf.printf
+         "E[decision time] ~ %.3f  (%d trials, %d missed; B^2/n = %.3f)\n"
+         (Proba.Stat.Summary.mean summary)
+         trials missed
+         (SC.Proof.theory
+            { SC.Automaton.n; bound = config.Models.bound; g = 1; k = 1 })
+     | `Election, _ ->
+       let summary, missed = time () in
+       Printf.printf
+         "E[election time] ~ %.3f  (%d trials, %d missed; derived bound %d)\n"
+         (Proba.Stat.Summary.mean summary)
+         trials missed
+         (2 * (n - 1)))
 
 let simulate_cmd =
   let scheduler =
@@ -871,21 +768,22 @@ let export_dot system n bound output =
       Printf.printf "wrote %s (%d states)\n" path
         (Mdp.Arena.num_states arena)
   in
-  match system with
-  | `Lr ->
-    let inst = Models.lr ~n () in
-    write inst.LR.Proof.arena (Core.Pred.mem LR.Regions.c)
-  | `Election ->
-    let inst = Models.election ~n () in
+  (* Consensus draws its one-round, all-zero instance. *)
+  let config =
+    match system with
+    | `Consensus ->
+      Models.config ~cap:1 ~initial:(Array.make n false) ~model:system ~n ()
+    | `Lr | `Election | `Coin -> Models.config ~bound ~model:system ~n ()
+  in
+  match Models.get config with
+  | Models.Lr inst -> write inst.LR.Proof.arena (Core.Pred.mem LR.Regions.c)
+  | Models.Lr_topo inst ->
+    write inst.LR.Proof.tarena (Core.Pred.mem LR.Regions.c)
+  | Models.Election inst ->
     write inst.IR.Proof.arena IR.Automaton.leader_elected
-  | `Coin ->
-    let inst = Models.coin ~n ~bound () in
+  | Models.Coin inst ->
     write inst.SC.Proof.arena (SC.Automaton.decided inst.SC.Proof.params)
-  | `Consensus ->
-    let f = (n - 1) / 2 in
-    let inst =
-      Models.consensus ~n ~f ~cap:1 ~initial:(Array.make n false) ()
-    in
+  | Models.Consensus inst ->
     write inst.BO.Proof.arena BO.Automaton.some_decided
 
 let export_dot_cmd =

@@ -42,11 +42,38 @@ let make_ctx config = { config }
 
 let lr_instance ctx ~n ~g ~k =
   ignore ctx;
-  Models.lr ~n ~g ~k ()
+  match Models.get (Models.config ~g ~k ~model:`Lr ~n ()) with
+  | Models.Lr i -> i
+  | _ -> assert false
 
 let ir_instance ctx ~n =
   ignore ctx;
-  Models.election ~n ()
+  match Models.get (Models.config ~model:`Election ~n ()) with
+  | Models.Election i -> i
+  | _ -> assert false
+
+(* The ring comes back as the paper's [Lr] instance; E10 reads it as
+   one general topology among others (same automaton, same arena). *)
+let topo_instance ~topology ~n =
+  match Models.get (Models.config ~topology ~model:`Lr ~n ()) with
+  | Models.Lr_topo t -> t
+  | Models.Lr i ->
+    { LR.Proof.topo = LR.Topology.ring n; tg = 1; tk = 1;
+      texpl = i.LR.Proof.expl; tarena = i.LR.Proof.arena;
+      tsym = i.LR.Proof.sym }
+  | _ -> assert false
+
+let coin_instance ~n ~bound =
+  match Models.get (Models.config ~bound ~model:`Coin ~n ()) with
+  | Models.Coin i -> i
+  | _ -> assert false
+
+let consensus_instance ?f ?initial ~cap n =
+  match
+    Models.get (Models.config ?f ?initial ~cap ~model:`Consensus ~n ())
+  with
+  | Models.Consensus i -> i
+  | _ -> assert false
 
 let banner id title claim =
   Printf.printf "\n=== %s: %s ===\n" id title;
@@ -482,14 +509,14 @@ let e10_topologies ctx =
         "composed"; "direct 13-unit min"; "worst E[time]" ]
   in
   let topos =
-    [ LR.Topology.ring 3; LR.Topology.line 3; LR.Topology.star 3 ]
+    [ ("ring", 3); ("line", 3); ("star", 3) ]
     @ (if ctx.config.lr_ns |> List.exists (fun n -> n >= 4) then
-         [ LR.Topology.line 4 ]
+         [ ("line", 4) ]
        else [])
   in
   List.iter
-    (fun topo ->
-       let inst = Models.lr_topo ~topo () in
+    (fun (topology, n) ->
+       let inst = topo_instance ~topology ~n in
        let arrows = LR.Proof.arrows_topo inst in
        let attained label =
          match List.find_opt (fun a -> a.LR.Proof.label = label) arrows with
@@ -505,7 +532,7 @@ let e10_topologies ctx =
          | Error _ -> "FAILED"
        in
        Table.row t
-         [ LR.Topology.name topo;
+         [ LR.Topology.name inst.LR.Proof.topo;
            string_of_int (Mdp.Explore.num_states inst.LR.Proof.texpl);
            (match LR.Proof.invariant_topo inst with
             | None -> "OK" | Some _ -> "VIOLATED");
@@ -531,7 +558,7 @@ let e11_shared_coin ctx =
   in
   List.iter
     (fun (n, bound) ->
-       let inst = Models.coin ~n ~bound () in
+       let inst = coin_instance ~n ~bound in
        let arrows = SC.Proof.arrows inst in
        let ok = List.length (List.filter (fun a -> a.SC.Proof.claim <> None) arrows) in
        let composed =
@@ -587,10 +614,10 @@ let e12_consensus ctx =
         verdict (BO.Proof.capped_liveness inst) ]
   in
   let unanimous =
-    Models.consensus ~n:3 ~f:1 ~cap:1 ~initial:[| false; false; false |] ()
+    consensus_instance ~f:1 ~cap:1 ~initial:[| false; false; false |] 3
   in
   let mixed =
-    Models.consensus ~n:3 ~f:1 ~cap:2 ~initial:[| false; false; true |] ()
+    consensus_instance ~f:1 ~cap:2 ~initial:[| false; false; true |] 3
   in
   row "n=3 f=1 unanimous (cap 1)" unanimous false;
   row "n=3 f=1 mixed (cap 2)" mixed true;
@@ -662,8 +689,7 @@ let e13_faults ctx =
   List.iter
     (fun f ->
        let n = 3 in
-       let initial = Array.init n (fun i -> i = n - 1) in
-       let inst = Models.consensus ~n ~f ~cap:2 ~initial () in
+       let inst = consensus_instance ~f ~cap:2 n in
        let curve = BO.Proof.decision_curve inst ~rounds:[ 1; 2 ] in
        Table.row t2
          [ Printf.sprintf "n=%d f=%d mixed" n f;

@@ -4,7 +4,7 @@ type 'v t = {
   mu : Mutex.t;
   table : (string, 'v entry) Hashtbl.t;
   cost : 'v -> int;
-  capacity : int option;
+  mutable capacity : int option;
   mutable clock : int;
   mutable total : int;
   mutable hits : int;
@@ -58,6 +58,8 @@ let evict_over_capacity t =
         t.evictions <- t.evictions + 1
     done
 
+let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
+
 let add t key v =
   locked t (fun () ->
       (match Hashtbl.find_opt t.table key with
@@ -70,6 +72,11 @@ let add t key v =
       Hashtbl.replace t.table key { value = v; cost; last = t.clock };
       t.total <- t.total + cost;
       t.insertions <- t.insertions + 1;
+      evict_over_capacity t)
+
+let set_capacity t cap =
+  locked t (fun () ->
+      t.capacity <- cap;
       evict_over_capacity t)
 
 type stats = {

@@ -1,272 +1,358 @@
 module Q = Proba.Rational
 module D = Proba.Dist
+module Sym = Analysis.Symmetry
 module LR = Lehmann_rabin
 module IR = Itai_rodeh
 module SC = Shared_coin
 module BO = Ben_or
 module Race = Race
+module Cache = Cache
 
 (* ------------------------------------------------------------------ *)
-(* Memoized builders.
+(* Case-study configurations.
 
-   Every surface (prtb subcommands, the verification server, the lint
-   targets, the experiment harness, the benchmarks) resolves case-study
-   instances through these functions, so within one process invocation
-   each (model, parameters) pair is explored and compiled exactly once
-   no matter how many surfaces touch it.
+   A [config] names one concrete instance: every surface (prtb
+   subcommands, the server, snapshots, the lint targets, the
+   experiment harness, the benchmarks) builds one with [config] and
+   resolves it with [get], so the parameters a body reports are the
+   parameters of the instance it checked.  Fields a model does not use
+   hold fixed values ([topology] "ring", [bound]/[cap]/[f] 0,
+   [initial] [||]): the registry key and the snapshot bytes depend on
+   them. *)
+
+type model = [ `Lr | `Election | `Coin | `Consensus ]
+
+let model_name = function
+  | `Lr -> "lr"
+  | `Election -> "election"
+  | `Coin -> "coin"
+  | `Consensus -> "consensus"
+
+let model_of_string = function
+  | "lr" -> Some `Lr
+  | "election" -> Some `Election
+  | "coin" -> Some `Coin
+  | "consensus" -> Some `Consensus
+  | _ -> None
+
+type config = {
+  model : model;
+  n : int;
+  g : int;
+  k : int;
+  topology : string;
+  bound : int;
+  cap : int;
+  f : int;
+  initial : bool array;
+  sym : Sym.mode;
+}
+
+(* The consensus convention: f = (n-1)/2 tolerated faults and a mixed
+   start in which only the last process estimates 1. *)
+let config ?(g = 1) ?(k = 1) ?(topology = "ring") ?(bound = 4) ?(cap = 2)
+    ?f ?initial ?(sym = Sym.Off) ~model ~n () =
+  (match model, topology with
+   | _, "ring" | `Lr, ("line" | "star") -> ()
+   | `Lr, other -> invalid_arg (Printf.sprintf "unknown topology %S" other)
+   | _, other ->
+     invalid_arg
+       (Printf.sprintf "topology %S applies to the lr system only" other));
+  let c =
+    { model; n; g; k; topology; bound = 0; cap = 0; f = 0; initial = [||];
+      sym }
+  in
+  match model with
+  | `Lr | `Election -> c
+  | `Coin -> { c with bound }
+  | `Consensus ->
+    { c with
+      cap;
+      f = Option.value f ~default:((n - 1) / 2);
+      initial =
+        (match initial with
+         | Some a -> a
+         | None -> Array.init n (fun i -> i = n - 1)) }
+
+let initial_bits c =
+  String.init (Array.length c.initial) (fun i ->
+      if c.initial.(i) then '1' else '0')
+
+(* [None] is the paper's ring (the [Lr] instance). *)
+let topology_of c =
+  match c.topology with
+  | "ring" -> None
+  | "line" -> Some (LR.Topology.line c.n)
+  | "star" -> Some (LR.Topology.star c.n)
+  | other -> invalid_arg (Printf.sprintf "unknown topology %S" other)
+
+(* ------------------------------------------------------------------ *)
+(* Instances. *)
+
+type instance =
+  | Lr of LR.Proof.instance
+  | Lr_topo of LR.Proof.topo_instance
+  | Election of IR.Proof.instance
+  | Coin of SC.Proof.instance
+  | Consensus of BO.Proof.instance
+
+type 'r arena_fn = {
+  apply :
+    's 'a. ('s, 'a) Mdp.Arena.t -> Sym.certificate option -> 'r;
+}
+
+let with_arena fn = function
+  | Lr i -> fn.apply i.LR.Proof.arena i.LR.Proof.sym
+  | Lr_topo i -> fn.apply i.LR.Proof.tarena i.LR.Proof.tsym
+  | Election i -> fn.apply i.IR.Proof.arena i.IR.Proof.sym
+  | Coin i -> fn.apply i.SC.Proof.arena i.SC.Proof.sym
+  | Consensus i -> fn.apply i.BO.Proof.arena i.BO.Proof.sym
+
+let num_states = with_arena { apply = (fun a _ -> Mdp.Arena.num_states a) }
+
+let describe c inst =
+  let extra =
+    match c.model with
+    | `Lr when c.topology <> "ring" ->
+      Printf.sprintf " topology=%s" c.topology
+    | `Coin -> Printf.sprintf " bound=%d" c.bound
+    | `Consensus ->
+      Printf.sprintf " f=%d cap=%d initial=%s" c.f c.cap (initial_bits c)
+    | `Lr | `Election -> ""
+  in
+  Printf.sprintf "%s n=%d g=%d k=%d%s sym=%s (%d states)"
+    (model_name c.model) c.n c.g c.k extra (Sym.mode_to_string c.sym)
+    (num_states inst)
+
+let build ?max_states c =
+  let { n; g; k; sym; _ } = c in
+  match c.model with
+  | `Lr ->
+    (match topology_of c with
+     | None -> Lr (LR.Proof.build ?max_states ~g ~k ~sym ~n ())
+     | Some topo ->
+       Lr_topo (LR.Proof.build_topo ?max_states ~g ~k ~sym ~topo ()))
+  | `Election -> Election (IR.Proof.build ?max_states ~g ~k ~sym ~n ())
+  | `Coin -> Coin (SC.Proof.build ?max_states ~g ~k ~sym ~n ~bound:c.bound ())
+  | `Consensus ->
+    Consensus
+      (BO.Proof.build ?max_states ~g ~k ~sym ~n ~f:c.f ~cap:c.cap
+         ~initial:c.initial ())
+
+type rebuild = {
+  rebuild :
+    's 'a.
+    pa:('s, 'a) Core.Pa.t -> spec:('s, 'a) Sym.spec ->
+    ('s, 'a) Mdp.Arena.t * Sym.certificate option;
+}
+
+let assemble c r =
+  let { n; g; k; _ } = c in
+  match c.model with
+  | `Lr ->
+    (match topology_of c with
+     | None ->
+       let params = { LR.Automaton.n; g; k } in
+       let arena, sym =
+         r.rebuild ~pa:(LR.Automaton.make params)
+           ~spec:(LR.Symmetry.ring ~n ())
+       in
+       Lr { LR.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
+     | Some topo ->
+       let tarena, tsym =
+         r.rebuild
+           ~pa:(LR.Automaton.make_general ~topo ~g ~k)
+           ~spec:(LR.Symmetry.spec topo)
+       in
+       Lr_topo
+         { LR.Proof.topo; tg = g; tk = k;
+           texpl = Mdp.Arena.explored tarena; tarena; tsym })
+  | `Election ->
+    let params = { IR.Automaton.n; g; k } in
+    let arena, sym =
+      r.rebuild ~pa:(IR.Automaton.make params) ~spec:(IR.Symmetry.spec params)
+    in
+    Election { IR.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
+  | `Coin ->
+    let params = { SC.Automaton.n; bound = c.bound; g; k } in
+    let arena, sym =
+      r.rebuild ~pa:(SC.Automaton.make params) ~spec:(SC.Symmetry.spec params)
+    in
+    Coin { SC.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
+  | `Consensus ->
+    let params = { BO.Automaton.n; f = c.f; cap = c.cap; g; k } in
+    let initial = c.initial in
+    let arena, sym =
+      r.rebuild
+        ~pa:(BO.Automaton.make ~initial params)
+        ~spec:(BO.Symmetry.spec params ~initial)
+    in
+    Consensus
+      { BO.Proof.params; initial; expl = Mdp.Arena.explored arena; arena;
+        sym }
+
+(* ------------------------------------------------------------------ *)
+(* The registry.
+
+   One memo table for every case study, so within one process
+   invocation each (config, max_states) pair is explored and compiled
+   exactly once no matter how many surfaces touch it.
 
    The registry is domain-safe: [prtb serve] workers hit it
-   concurrently.  One mutex guards all tables and counters; builds run
-   OUTSIDE the lock (so distinct keys explore in parallel) with the key
-   marked in [building], and domains asking for an in-flight key wait
-   on [built_cond].  The result is the build-once guarantee under
+   concurrently.  [mu] guards the [building] set; builds run OUTSIDE
+   the lock (so distinct keys explore in parallel) with the key marked
+   in [building], and domains asking for an in-flight key wait on
+   [built_cond].  The result is the build-once guarantee under
    contention: N domains requesting the same key perform exactly one
    exploration and one compile (asserted by the multi-domain hammer in
    test/test_models.ml).
 
    Caching is optionally bounded: [set_capacity (Some bytes)] turns the
-   memo tables into one LRU with per-instance costs estimated from the
+   table into an LRU with per-instance costs estimated from the
    compiled arena size.  The server wires [--cache-mb] here; the CLI
    default stays unbounded (process lifetimes are one query long). *)
 
+(* Only the fields the model uses, so equal instances share a key. *)
+let key ?max_states c =
+  let common =
+    Printf.sprintf "n=%d&g=%d&k=%d&max_states=%s&sym=%s" c.n c.g c.k
+      (match max_states with None -> "" | Some m -> string_of_int m)
+      (Sym.mode_to_string c.sym)
+  in
+  match c.model with
+  | `Lr -> Printf.sprintf "lr?topology=%s&%s" c.topology common
+  | `Election -> "election?" ^ common
+  | `Coin -> Printf.sprintf "coin?bound=%d&%s" c.bound common
+  | `Consensus ->
+    Printf.sprintf "consensus?f=%d&cap=%d&initial=%s&%s" c.f c.cap
+      (initial_bits c) common
+
+(* Rough retained size of an instance: CSR rows, the interned state
+   values and the memo overhead, all order-of-magnitude -- the LRU
+   needs proportionality, not precision. *)
+let registry : instance Cache.t =
+  Cache.create ~cost:(fun i -> 4096 + (512 * num_states i)) ()
+
 let mu = Mutex.create ()
 let built_cond = Condition.create ()
-
-let builds_counter = ref 0
-let hits_counter = ref 0
-let evictions_counter = ref 0
-let clock = ref 0
-let total_cost = ref 0
-let capacity_ref : int option ref = ref None
-
-(* One row per cached instance, across all typed tables: LRU metadata
-   plus a closure that removes the instance from its typed table. *)
-type meta = { cost : int; mutable last : int; remove : unit -> unit }
-
-let metas : (string, meta) Hashtbl.t = Hashtbl.create 32
 let building : (string, unit) Hashtbl.t = Hashtbl.create 8
+let builds_counter = Atomic.make 0
 
-let next_tick () =
-  incr clock;
-  !clock
+let set_capacity cap = Cache.set_capacity registry cap
 
-(* Called with [mu] held. *)
-let evict_over_capacity () =
-  match !capacity_ref with
-  | None -> ()
-  | Some cap ->
-    while !total_cost > cap && Hashtbl.length metas > 0 do
-      let oldest =
-        Hashtbl.fold
-          (fun key m acc ->
-             match acc with
-             | Some (_, m') when m'.last <= m.last -> acc
-             | Some _ | None -> Some (key, m))
-          metas None
-      in
-      match oldest with
-      | None -> ()
-      | Some (key, m) ->
-        Hashtbl.remove metas key;
-        m.remove ();
-        total_cost := !total_cost - m.cost;
-        incr evictions_counter
-    done
-
-let set_capacity cap =
-  Mutex.lock mu;
-  capacity_ref := cap;
-  evict_over_capacity ();
-  Mutex.unlock mu
-
-(* Rough retained size of an instance whose arena interns [states]
-   states: CSR rows, the interned state values and the memo overhead,
-   all order-of-magnitude -- the LRU needs proportionality, not
-   precision. *)
-let approx_cost ~states = 4096 + (512 * states)
-
-let memo (type v) (cache : (string, v) Hashtbl.t) ~key ~(cost : v -> int)
-    (build : unit -> v) : v =
+let get ?max_states c =
+  let key = key ?max_states c in
   Mutex.lock mu;
   let rec obtain () =
-    match Hashtbl.find_opt cache key with
+    match Cache.find registry key with
     | Some v ->
-      incr hits_counter;
-      (match Hashtbl.find_opt metas key with
-       | Some m -> m.last <- next_tick ()
-       | None -> ());
       Mutex.unlock mu;
       v
+    | None when Hashtbl.mem building key ->
+      Condition.wait built_cond mu;
+      obtain ()
     | None ->
-      if Hashtbl.mem building key then begin
-        Condition.wait built_cond mu;
-        obtain ()
-      end
-      else begin
-        Hashtbl.add building key ();
-        Mutex.unlock mu;
-        let result =
-          try Ok (build ()) with e -> Error (e, Printexc.get_raw_backtrace ())
-        in
-        Mutex.lock mu;
-        Hashtbl.remove building key;
-        Condition.broadcast built_cond;
-        match result with
-        | Error (e, bt) ->
-          Mutex.unlock mu;
-          Printexc.raise_with_backtrace e bt
-        | Ok v ->
-          incr builds_counter;
-          Hashtbl.replace cache key v;
-          let c = cost v in
-          Hashtbl.replace metas key
-            { cost = c;
-              last = next_tick ();
-              remove = (fun () -> Hashtbl.remove cache key) };
-          total_cost := !total_cost + c;
-          evict_over_capacity ();
-          Mutex.unlock mu;
-          v
-      end
+      Hashtbl.add building key ();
+      Mutex.unlock mu;
+      let result =
+        try Ok (build ?max_states c)
+        with e -> Error (e, Printexc.get_raw_backtrace ())
+      in
+      Mutex.lock mu;
+      Hashtbl.remove building key;
+      Condition.broadcast built_cond;
+      (match result with
+       | Error (e, bt) ->
+         Mutex.unlock mu;
+         Printexc.raise_with_backtrace e bt
+       | Ok v ->
+         Atomic.incr builds_counter;
+         Cache.add registry key v;
+         Mutex.unlock mu;
+         v)
   in
   obtain ()
 
-(* Seed the cache with an instance built elsewhere (an arena snapshot
+(* Seed the table with an instance built elsewhere (an arena snapshot
    loaded at daemon startup).  No build happens here so [builds] stays
    put -- the CI snapshot smoke asserts [explorations: 0, compiles: 0]
    on the first served query, which only holds if preloaded entries are
    indistinguishable from built ones on the lookup path.  A key that is
-   already cached or mid-build keeps the existing/raced instance;
-   preloading respects the LRU capacity like any insert. *)
-let preload_into (type v) (cache : (string, v) Hashtbl.t) ~key ~cost
-    (v : v) =
-  Mutex.lock mu;
-  if Hashtbl.mem cache key || Hashtbl.mem building key then begin
-    Mutex.unlock mu;
-    false
-  end
-  else begin
-    Hashtbl.replace cache key v;
-    Hashtbl.replace metas key
-      { cost;
-        last = next_tick ();
-        remove = (fun () -> Hashtbl.remove cache key) };
-    total_cost := !total_cost + cost;
-    evict_over_capacity ();
-    Mutex.unlock mu;
-    true
-  end
+   already cached or mid-build keeps the existing/raced instance. *)
+let preload ?max_states c inst =
+  let key = key ?max_states c in
+  Mutex.protect mu (fun () ->
+      if Cache.mem registry key || Hashtbl.mem building key then false
+      else begin
+        Cache.add registry key inst;
+        true
+      end)
 
-let opt_int = function None -> "" | Some m -> string_of_int m
-let sym_str = Analysis.Symmetry.mode_to_string
+(* ------------------------------------------------------------------ *)
+(* Monte Carlo set-ups. *)
 
-let lr_cache : (string, LR.Proof.instance) Hashtbl.t = Hashtbl.create 8
+type simulation =
+  | Simulation : {
+      setup : ('s, 'a) Sim.Monte_carlo.setup;
+      target : 's -> bool;
+      horizon : int;
+    }
+      -> simulation
 
-let lr_key ~max_states ~g ~k ~sym ~n =
-  Printf.sprintf "lr?n=%d&g=%d&k=%d&max_states=%s&sym=%s" n g k
-    (opt_int max_states) (sym_str sym)
-
-let lr_cost i = approx_cost ~states:(Mdp.Arena.num_states i.LR.Proof.arena)
-
-let lr ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off) ~n () =
-  memo lr_cache
-    ~key:(lr_key ~max_states ~g ~k ~sym ~n)
-    ~cost:lr_cost
-    (fun () -> LR.Proof.build ?max_states ~g ~k ~sym ~n ())
-
-let preload_lr ?max_states ~g ~k ~sym ~n inst =
-  preload_into lr_cache
-    ~key:(lr_key ~max_states ~g ~k ~sym ~n)
-    ~cost:(lr_cost inst) inst
-
-let lr_topo_cache : (string, LR.Proof.topo_instance) Hashtbl.t =
-  Hashtbl.create 8
-
-let lr_topo_key ~max_states ~g ~k ~sym ~topo =
-  Printf.sprintf "lr-topo?topo=%s&g=%d&k=%d&max_states=%s&sym=%s"
-    (LR.Topology.name topo) g k (opt_int max_states) (sym_str sym)
-
-let lr_topo_cost i =
-  approx_cost ~states:(Mdp.Arena.num_states i.LR.Proof.tarena)
-
-let lr_topo ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off)
-    ~topo () =
-  memo lr_topo_cache
-    ~key:(lr_topo_key ~max_states ~g ~k ~sym ~topo)
-    ~cost:lr_topo_cost
-    (fun () -> LR.Proof.build_topo ?max_states ~g ~k ~sym ~topo ())
-
-let preload_lr_topo ?max_states ~g ~k ~sym ~topo inst =
-  preload_into lr_topo_cache
-    ~key:(lr_topo_key ~max_states ~g ~k ~sym ~topo)
-    ~cost:(lr_topo_cost inst) inst
-
-let election_cache : (string, IR.Proof.instance) Hashtbl.t = Hashtbl.create 8
-
-let election_key ~max_states ~g ~k ~sym ~n =
-  Printf.sprintf "election?n=%d&g=%d&k=%d&max_states=%s&sym=%s" n g k
-    (opt_int max_states) (sym_str sym)
-
-let election_cost i =
-  approx_cost ~states:(Mdp.Arena.num_states i.IR.Proof.arena)
-
-let election ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off)
-    ~n () =
-  memo election_cache
-    ~key:(election_key ~max_states ~g ~k ~sym ~n)
-    ~cost:election_cost
-    (fun () -> IR.Proof.build ?max_states ~g ~k ~sym ~n ())
-
-let preload_election ?max_states ~g ~k ~sym ~n inst =
-  preload_into election_cache
-    ~key:(election_key ~max_states ~g ~k ~sym ~n)
-    ~cost:(election_cost inst) inst
-
-let coin_cache : (string, SC.Proof.instance) Hashtbl.t = Hashtbl.create 8
-
-let coin_key ~max_states ~g ~k ~sym ~n ~bound =
-  Printf.sprintf "coin?n=%d&bound=%d&g=%d&k=%d&max_states=%s&sym=%s" n bound
-    g k (opt_int max_states) (sym_str sym)
-
-let coin_cost i = approx_cost ~states:(Mdp.Arena.num_states i.SC.Proof.arena)
-
-let coin ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off) ~n
-    ~bound () =
-  memo coin_cache
-    ~key:(coin_key ~max_states ~g ~k ~sym ~n ~bound)
-    ~cost:coin_cost
-    (fun () -> SC.Proof.build ?max_states ~g ~k ~sym ~n ~bound ())
-
-let preload_coin ?max_states ~g ~k ~sym ~n ~bound inst =
-  preload_into coin_cache
-    ~key:(coin_key ~max_states ~g ~k ~sym ~n ~bound)
-    ~cost:(coin_cost inst) inst
-
-let consensus_cache : (string, BO.Proof.instance) Hashtbl.t = Hashtbl.create 8
-
-let consensus_key ~max_states ~g ~k ~sym ~n ~f ~cap ~initial =
-  let bits =
-    String.concat "" (List.map (fun b -> if b then "1" else "0")
-                        (Array.to_list initial))
+let simulation ?(scheduler = "uniform") c =
+  let { n; g; k; _ } = c in
+  let uniform pa =
+    if scheduler = "uniform" then Ok (Sim.Scheduler.uniform pa)
+    else
+      Error
+        (Printf.sprintf "scheduler %S applies to the lr model only" scheduler)
   in
-  Printf.sprintf
-    "consensus?n=%d&f=%d&cap=%d&initial=%s&g=%d&k=%d&max_states=%s\
-     &sym=%s" n f cap bits g k (opt_int max_states) (sym_str sym)
+  let sim pa ~duration ~start ~target ~horizon scheduler =
+    Simulation
+      { setup = { Sim.Monte_carlo.pa; scheduler; duration; start }; target;
+        horizon }
+  in
+  match c.model with
+  | `Lr ->
+    if c.topology <> "ring" then
+      Error "Monte Carlo set-ups cover the lr ring only"
+    else
+      let pa = LR.Automaton.make { LR.Automaton.n; g; k } in
+      (match List.assoc_opt scheduler (LR.Schedulers.all pa) with
+       | None -> Error (Printf.sprintf "unknown scheduler %S" scheduler)
+       | Some s ->
+         Ok
+           (sim pa ~duration:LR.Automaton.duration
+              ~start:(LR.State.all_trying ~n ~g ~k)
+              ~target:(Core.Pred.mem LR.Regions.c) ~horizon:(13 * g) s))
+  | `Election ->
+    let params = { IR.Automaton.n; g; k } in
+    let pa = IR.Automaton.make params in
+    Result.map
+      (sim pa ~duration:IR.Automaton.duration
+         ~start:(IR.Automaton.start params)
+         ~target:IR.Automaton.leader_elected ~horizon:(2 * n * g))
+      (uniform pa)
+  | `Coin ->
+    let params = { SC.Automaton.n; bound = c.bound; g; k } in
+    let pa = SC.Automaton.make params in
+    Result.map
+      (sim pa ~duration:SC.Automaton.duration
+         ~start:(SC.Automaton.start params)
+         ~target:(SC.Automaton.decided params)
+         ~horizon:(4 * c.bound * c.bound * g))
+      (uniform pa)
+  | `Consensus ->
+    let params = { BO.Automaton.n; f = c.f; cap = c.cap; g; k } in
+    let pa = BO.Automaton.make ~initial:c.initial params in
+    Result.map
+      (sim pa ~duration:BO.Automaton.duration
+         ~start:(BO.Automaton.start params c.initial)
+         ~target:BO.Automaton.some_decided ~horizon:(4 * c.cap * g))
+      (uniform pa)
 
-let consensus_cost i =
-  approx_cost ~states:(Mdp.Arena.num_states i.BO.Proof.arena)
-
-let consensus ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off)
-    ~n ~f ~cap ~initial () =
-  memo consensus_cache
-    ~key:(consensus_key ~max_states ~g ~k ~sym ~n ~f ~cap ~initial)
-    ~cost:consensus_cost
-    (fun () -> BO.Proof.build ?max_states ~g ~k ~sym ~n ~f ~cap ~initial ())
-
-let preload_consensus ?max_states ~g ~k ~sym ~n ~f ~cap ~initial inst =
-  preload_into consensus_cache
-    ~key:(consensus_key ~max_states ~g ~k ~sym ~n ~f ~cap ~initial)
-    ~cost:(consensus_cost inst) inst
+(* ------------------------------------------------------------------ *)
+(* Work accounting. *)
 
 type stats = {
   explorations : int;
@@ -279,18 +365,14 @@ type stats = {
 }
 
 let stats () =
-  Mutex.lock mu;
-  let s =
-    { explorations = Mdp.Explore.explorations ();
-      compiles = Mdp.Arena.compiles ();
-      builds = !builds_counter;
-      cache_hits = !hits_counter;
-      evictions = !evictions_counter;
-      cached_entries = Hashtbl.length metas;
-      cached_bytes = !total_cost }
-  in
-  Mutex.unlock mu;
-  s
+  let c = Cache.stats registry in
+  { explorations = Mdp.Explore.explorations ();
+    compiles = Mdp.Arena.compiles ();
+    builds = Atomic.get builds_counter;
+    cache_hits = c.Cache.hits;
+    evictions = c.Cache.evictions;
+    cached_entries = c.Cache.entries;
+    cached_bytes = c.Cache.cost_bytes }
 
 let pp_stats fmt s =
   Format.fprintf fmt
@@ -389,10 +471,9 @@ let sc_claims inst =
   | Error _ -> claims
 
 (* ------------------------------------------------------------------ *)
-(* Lint runners.  Each resolves its instance through the memoized
-   builders above and hands the instance's arena to the analysis, so a
-   process that both checks and lints a model explores and compiles it
-   once.
+(* Lint runners.  A case-study target resolves its instance through
+   [get] and hands the instance's arena to the analysis, so a process
+   that both checks and lints a model explores and compiles it once.
 
    Every symmetry-declaring model also hands its declared spec to the
    analysis, so [prtb lint] verifies the generators (PA030), the
@@ -402,65 +483,47 @@ let sc_claims inst =
    re-derived inside the analysis pass; lint targets are small enough
    that the duplicated verification is in the noise). *)
 
-let lint_lr ~max_states ?sym () =
-  let inst = lr ~max_states ?sym ~n:3 () in
-  Analysis.run_explored ~arena:inst.LR.Proof.arena
-    (Analysis.config ~name:"lr" ~is_tick:LR.Automaton.is_tick
-       ~claims:(lr_claims inst) ~max_states
-       ~symmetry:(LR.Symmetry.ring ~n:3 ())
-       ~sym_reduced:(inst.LR.Proof.sym <> None)
-       (Mdp.Explore.automaton inst.LR.Proof.expl))
-    inst.LR.Proof.expl
-
-let lint_lr_topo name topo ~max_states ?sym () =
-  let inst = lr_topo ~max_states ?sym ~topo () in
-  Analysis.run_explored ~arena:inst.LR.Proof.tarena
-    (Analysis.config ~name ~is_tick:LR.Automaton.is_tick
-       ~claims:(lr_topo_claims inst) ~max_states
-       ~symmetry:(LR.Symmetry.spec topo)
-       ~sym_reduced:(inst.LR.Proof.tsym <> None)
-       (Mdp.Explore.automaton inst.LR.Proof.texpl))
-    inst.LR.Proof.texpl
-
-let lint_election ~max_states ?sym () =
-  let inst = election ~max_states ?sym ~n:3 () in
-  Analysis.run_explored ~arena:inst.IR.Proof.arena
-    (Analysis.config ~name:"election" ~is_tick:IR.Automaton.is_tick
-       ~claims:(ir_claims inst) ~max_states
-       ~symmetry:(IR.Symmetry.spec inst.IR.Proof.params)
-       ~sym_reduced:(inst.IR.Proof.sym <> None)
-       (Mdp.Explore.automaton inst.IR.Proof.expl))
-    inst.IR.Proof.expl
-
-let lint_coin ~max_states ?sym () =
-  let inst = coin ~max_states ?sym ~n:2 ~bound:3 () in
-  Analysis.run_explored ~arena:inst.SC.Proof.arena
-    (Analysis.config ~name:"coin" ~is_tick:SC.Automaton.is_tick
-       ~claims:(sc_claims inst) ~max_states
-       ~symmetry:(SC.Symmetry.spec inst.SC.Proof.params)
-       ~sym_reduced:(inst.SC.Proof.sym <> None)
-       (Mdp.Explore.automaton inst.SC.Proof.expl))
-    inst.SC.Proof.expl
-
-let lint_consensus ~max_states ?sym () =
-  let n = 3 and f = 1 and cap = 2 in
-  let initial = Array.init n (fun i -> i = n - 1) in
-  let inst = consensus ~max_states ?sym ~n ~f ~cap ~initial () in
-  let arrow =
-    BO.Proof.decision_arrow inst ~rounds:cap ~prob:(Q.pow Q.half n)
+let lint_case name config ~max_states ?sym () =
+  let config = { config with sym = Option.value sym ~default:Sym.Off } in
+  let run (type s a) ~is_tick ~claims ~(symmetry : (s, a) Sym.spec) ~cert
+      ~arena (expl : (s, a) Mdp.Explore.t) =
+    Analysis.run_explored ~arena
+      (Analysis.config ~name ~is_tick ~claims ~max_states ~symmetry
+         ~sym_reduced:(cert <> None) (Mdp.Explore.automaton expl))
+      expl
   in
-  let claims =
-    match arrow.BO.Proof.claim with
-    | Some c -> [ (arrow.BO.Proof.label, c) ]
-    | None -> []
-  in
-  Analysis.run_explored ~arena:inst.BO.Proof.arena
-    (Analysis.config ~name:"consensus" ~is_tick:BO.Automaton.is_tick
-       ~claims ~max_states
-       ~symmetry:(BO.Symmetry.spec inst.BO.Proof.params ~initial)
-       ~sym_reduced:(inst.BO.Proof.sym <> None)
-       (Mdp.Explore.automaton inst.BO.Proof.expl))
-    inst.BO.Proof.expl
+  match get ~max_states config with
+  | Lr inst ->
+    run ~is_tick:LR.Automaton.is_tick ~claims:(lr_claims inst)
+      ~symmetry:(LR.Symmetry.ring ~n:config.n ()) ~cert:inst.LR.Proof.sym
+      ~arena:inst.LR.Proof.arena inst.LR.Proof.expl
+  | Lr_topo inst ->
+    run ~is_tick:LR.Automaton.is_tick ~claims:(lr_topo_claims inst)
+      ~symmetry:(LR.Symmetry.spec inst.LR.Proof.topo)
+      ~cert:inst.LR.Proof.tsym ~arena:inst.LR.Proof.tarena
+      inst.LR.Proof.texpl
+  | Election inst ->
+    run ~is_tick:IR.Automaton.is_tick ~claims:(ir_claims inst)
+      ~symmetry:(IR.Symmetry.spec inst.IR.Proof.params)
+      ~cert:inst.IR.Proof.sym ~arena:inst.IR.Proof.arena inst.IR.Proof.expl
+  | Coin inst ->
+    run ~is_tick:SC.Automaton.is_tick ~claims:(sc_claims inst)
+      ~symmetry:(SC.Symmetry.spec inst.SC.Proof.params)
+      ~cert:inst.SC.Proof.sym ~arena:inst.SC.Proof.arena inst.SC.Proof.expl
+  | Consensus inst ->
+    let arrow =
+      BO.Proof.decision_arrow inst ~rounds:config.cap
+        ~prob:(Q.pow Q.half config.n)
+    in
+    let claims =
+      match arrow.BO.Proof.claim with
+      | Some c -> [ (arrow.BO.Proof.label, c) ]
+      | None -> []
+    in
+    run ~is_tick:BO.Automaton.is_tick ~claims
+      ~symmetry:
+        (BO.Symmetry.spec inst.BO.Proof.params ~initial:inst.BO.Proof.initial)
+      ~cert:inst.BO.Proof.sym ~arena:inst.BO.Proof.arena inst.BO.Proof.expl
 
 let lint_walker ~max_states ?sym:_ () =
   Analysis.run
@@ -546,27 +609,32 @@ let force_on runner ~max_states ?sym:_ () =
   runner ~max_states ?sym:(Some Analysis.Symmetry.On) ()
 
 let entries =
+  let case ?topology ?bound ~model ~n name =
+    lint_case name (config ?topology ?bound ~model ~n ())
+  in
   List.map (fun (name, doc, runner) ->
       { name; doc; lint = guard name runner })
   @@
-  [ ("lr", "Lehmann-Rabin ring (n=3) + Section 6.2 claims", lint_lr);
+  [ ("lr", "Lehmann-Rabin ring (n=3) + Section 6.2 claims",
+     case ~model:`Lr ~n:3 "lr");
     ("lr-line", "Lehmann-Rabin line topology (n=3)",
-     lint_lr_topo "lr-line" (LR.Topology.line 3));
+     case ~topology:"line" ~model:`Lr ~n:3 "lr-line");
     ("lr-star", "Lehmann-Rabin star topology (n=3)",
-     lint_lr_topo "lr-star" (LR.Topology.star 3));
+     case ~topology:"star" ~model:`Lr ~n:3 "lr-star");
     ("election", "Itai-Rodeh leader election (n=3) + ladder claims",
-     lint_election);
-    ("coin", "shared coin (n=2, barrier 3) + ladder claims", lint_coin);
+     case ~model:`Election ~n:3 "election");
+    ("coin", "shared coin (n=2, barrier 3) + ladder claims",
+     case ~bound:3 ~model:`Coin ~n:2 "coin");
     ("consensus", "Ben-Or (n=3, f=1, 2 rounds) + decision claim",
-     lint_consensus);
+     case ~model:`Consensus ~n:3 "consensus");
     ("lr-sym", "lr on the certified rotation-orbit quotient",
-     force_on lint_lr);
+     force_on (case ~model:`Lr ~n:3 "lr"));
     ("election-sym", "election on the certified transposition quotient",
-     force_on lint_election);
+     force_on (case ~model:`Election ~n:3 "election"));
     ("coin-sym", "coin on the certified transposition quotient",
-     force_on lint_coin);
+     force_on (case ~bound:3 ~model:`Coin ~n:2 "coin"));
     ("consensus-sym", "consensus on the certified equal-input quotient",
-     force_on lint_consensus);
+     force_on (case ~model:`Consensus ~n:3 "consensus"));
     ("lr-crash",
      "Lehmann-Rabin ring (n=3) under one crash + degraded claims",
      lint_lr_crash);

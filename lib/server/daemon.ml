@@ -187,9 +187,11 @@ let preload_snapshots ~max_states dir =
     (fun name ->
        if Filename.check_suffix name ".prtba" then begin
          let path = Filename.concat dir name in
-         match Snapshot.Store.preload ~max_states ~path () with
-         | Ok desc ->
-           Printf.printf "prtb serve: snapshot %s: %s\n%!" name desc
+         match Snapshot.Store.load ~path with
+         | Ok (c, inst) ->
+           ignore (Models.preload ~max_states c inst : bool);
+           Printf.printf "prtb serve: snapshot %s: %s\n%!" name
+             (Models.describe c inst)
          | Error e ->
            Printf.eprintf "prtb serve: snapshot %s refused: %s\n%!" name e
        end)

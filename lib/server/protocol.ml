@@ -1,12 +1,8 @@
 module J = Analysis.Json
 
-type model = [ `Lr | `Election | `Coin | `Consensus ]
+type model = Models.model
 
-let model_name = function
-  | `Lr -> "lr"
-  | `Election -> "election"
-  | `Coin -> "coin"
-  | `Consensus -> "consensus"
+let model_name = Models.model_name
 
 type check_query = {
   model : model;

@@ -31,7 +31,7 @@
     - SRV120 budget exhausted          - SRV122 deadline exceeded
     - SRV300 internal error *)
 
-type model = [ `Lr | `Election | `Coin | `Consensus ]
+type model = Models.model
 
 val model_name : model -> string
 

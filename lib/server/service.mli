@@ -6,7 +6,7 @@
     own [max_states]), so a hostile query is answered with a structured
     ["verdict": "exhausted"] body instead of wedging a worker.
     Finished results of the cacheable endpoints ([/check], [/simulate],
-    [/lint]) are kept in an LRU {!Cache} keyed by the canonical
+    [/lint]) are kept in an LRU {!Models.Cache} keyed by the canonical
     request; repeat queries are answered without touching the registry
     at all ([X-Prtb-Cache: hit], and the [/stats] compile counters stay
     put -- what CI asserts).

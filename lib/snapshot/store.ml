@@ -1,60 +1,12 @@
-module Q = Proba.Rational
 module Sym = Analysis.Symmetry
-module LR = Lehmann_rabin
-module IR = Itai_rodeh
-module SC = Shared_coin
-module BO = Ben_or
-
-type config = {
-  model : string;
-  n : int;
-  g : int;
-  k : int;
-  topology : string;
-  bound : int;
-  cap : int;
-  f : int;
-  initial : bool array;
-  sym : Sym.mode;
-}
-
-type loaded =
-  | Lr of LR.Proof.instance
-  | Lr_topo of LR.Proof.topo_instance
-  | Election of IR.Proof.instance
-  | Coin of SC.Proof.instance
-  | Consensus of BO.Proof.instance
-
-let arena_states = function
-  | Lr i -> Mdp.Arena.num_states i.LR.Proof.arena
-  | Lr_topo i -> Mdp.Arena.num_states i.LR.Proof.tarena
-  | Election i -> Mdp.Arena.num_states i.IR.Proof.arena
-  | Coin i -> Mdp.Arena.num_states i.SC.Proof.arena
-  | Consensus i -> Mdp.Arena.num_states i.BO.Proof.arena
-
-let describe c loaded =
-  let extra =
-    match c.model with
-    | "lr" when c.topology <> "ring" ->
-      Printf.sprintf " topology=%s" c.topology
-    | "coin" -> Printf.sprintf " bound=%d" c.bound
-    | "consensus" ->
-      Printf.sprintf " f=%d cap=%d initial=%s" c.f c.cap
-        (String.init (Array.length c.initial) (fun i ->
-             if c.initial.(i) then '1' else '0'))
-    | _ -> ""
-  in
-  Printf.sprintf "%s n=%d g=%d k=%d%s sym=%s (%d states)" c.model c.n c.g
-    c.k extra
-    (Sym.mode_to_string c.sym)
-    (arena_states loaded)
 
 (* ------------------------------------------------------------------ *)
 (* Encoding. *)
 
-let config_payload c =
+let config_payload (c : Models.config) =
   Codec.strs_to_string
-    [ c.model; string_of_int c.n; string_of_int c.g; string_of_int c.k;
+    [ Models.model_name c.model; string_of_int c.n; string_of_int c.g;
+      string_of_int c.k;
       c.topology; string_of_int c.bound; string_of_int c.cap;
       string_of_int c.f;
       Codec.bools_to_string c.initial;
@@ -89,32 +41,22 @@ let arena_sections (type s a) (arena : (s, a) Mdp.Arena.t)
       | None -> ""
       | Some c -> Marshal.to_string (c : Sym.certificate) [] ) ]
 
-let encode c loaded =
-  let check_model expected =
-    if c.model <> expected then
-      invalid_arg
-        (Printf.sprintf "Snapshot.Store.encode: config says %S, got a %s \
-                         instance" c.model expected)
+let encode (c : Models.config) inst =
+  let model =
+    match inst with
+    | Models.Lr _ | Models.Lr_topo _ -> `Lr
+    | Models.Election _ -> `Election
+    | Models.Coin _ -> `Coin
+    | Models.Consensus _ -> `Consensus
   in
-  let sections =
-    match loaded with
-    | Lr i ->
-      check_model "lr";
-      arena_sections i.LR.Proof.arena i.LR.Proof.sym
-    | Lr_topo i ->
-      check_model "lr";
-      arena_sections i.LR.Proof.tarena i.LR.Proof.tsym
-    | Election i ->
-      check_model "election";
-      arena_sections i.IR.Proof.arena i.IR.Proof.sym
-    | Coin i ->
-      check_model "coin";
-      arena_sections i.SC.Proof.arena i.SC.Proof.sym
-    | Consensus i ->
-      check_model "consensus";
-      arena_sections i.BO.Proof.arena i.BO.Proof.sym
-  in
-  Codec.encode (("config", config_payload c) :: sections)
+  if c.model <> model then
+    invalid_arg
+      (Printf.sprintf "Snapshot.Store.encode: config says %S, got a %s \
+                       instance"
+         (Models.model_name c.model) (Models.model_name model));
+  Codec.encode
+    (("config", config_payload c)
+     :: Models.with_arena { Models.apply = arena_sections } inst)
 
 let save ~path c loaded =
   let bytes = encode c loaded in
@@ -163,7 +105,12 @@ let config_of_sections sections =
       | Some m -> m
       | None -> refuse "snapshot config: bad sym mode %S" sym_s
     in
-    { model; n = int_of "n" n; g = int_of "g" g; k = int_of "k" k;
+    let model =
+      match Models.model_of_string model with
+      | Some m -> m
+      | None -> refuse "snapshot config: unknown model %S" model
+    in
+    { Models.model; n = int_of "n" n; g = int_of "g" g; k = int_of "k" k;
       topology; bound = int_of "bound" bound; cap = int_of "cap" cap;
       f = int_of "f" f; initial; sym }
   | Ok fields ->
@@ -301,60 +248,14 @@ let instantiate sections =
   if c.n < 2 then refuse "snapshot config: n=%d out of range" c.n;
   if c.g < 1 || c.k < 1 then
     refuse "snapshot config: g=%d k=%d out of range" c.g c.k;
-  let loaded =
-    match c.model, c.topology with
-    | "lr", "ring" ->
-      let params = { LR.Automaton.n = c.n; g = c.g; k = c.k } in
-      let pa = LR.Automaton.make params in
-      let spec = LR.Symmetry.ring ~n:c.n () in
-      let arena, sym = rebuild ~pa ~spec sections in
-      Lr
-        { LR.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
-    | "lr", (("line" | "star") as t) ->
-      let topo =
-        if t = "line" then LR.Topology.line c.n else LR.Topology.star c.n
-      in
-      let pa = LR.Automaton.make_general ~topo ~g:c.g ~k:c.k in
-      let spec = LR.Symmetry.spec topo in
-      let tarena, tsym = rebuild ~pa ~spec sections in
-      Lr_topo
-        { LR.Proof.topo; tg = c.g; tk = c.k;
-          texpl = Mdp.Arena.explored tarena; tarena; tsym }
-    | "lr", other -> refuse "snapshot config: unknown topology %S" other
-    | "election", _ ->
-      let params = { IR.Automaton.n = c.n; g = c.g; k = c.k } in
-      let pa = IR.Automaton.make params in
-      let spec = IR.Symmetry.spec params in
-      let arena, sym = rebuild ~pa ~spec sections in
-      Election
-        { IR.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
-    | "coin", _ ->
-      if c.bound < 1 then
-        refuse "snapshot config: bound=%d out of range" c.bound;
-      let params =
-        { SC.Automaton.n = c.n; bound = c.bound; g = c.g; k = c.k }
-      in
-      let pa = SC.Automaton.make params in
-      let spec = SC.Symmetry.spec params in
-      let arena, sym = rebuild ~pa ~spec sections in
-      Coin
-        { SC.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
-    | "consensus", _ ->
-      if Array.length c.initial <> c.n then
-        refuse "snapshot config: %d initial estimates for n=%d"
-          (Array.length c.initial) c.n;
-      let params =
-        { BO.Automaton.n = c.n; f = c.f; cap = c.cap; g = c.g; k = c.k }
-      in
-      let pa = BO.Automaton.make ~initial:c.initial params in
-      let spec = BO.Symmetry.spec params ~initial:c.initial in
-      let arena, sym = rebuild ~pa ~spec sections in
-      Consensus
-        { BO.Proof.params; initial = c.initial;
-          expl = Mdp.Arena.explored arena; arena; sym }
-    | other, _ -> refuse "snapshot config: unknown model %S" other
-  in
-  (c, loaded)
+  if c.model = `Coin && c.bound < 1 then
+    refuse "snapshot config: bound=%d out of range" c.bound;
+  if c.model = `Consensus && Array.length c.initial <> c.n then
+    refuse "snapshot config: %d initial estimates for n=%d"
+      (Array.length c.initial) c.n;
+  ( c,
+    Models.assemble c
+      { Models.rebuild = (fun ~pa ~spec -> rebuild ~pa ~spec sections) } )
 
 let of_string bytes =
   match Codec.decode bytes with
@@ -376,30 +277,3 @@ let load ~path =
   | exception End_of_file ->
     Error (Printf.sprintf "%s: truncated while reading" path)
   | bytes -> of_string bytes
-
-(* ------------------------------------------------------------------ *)
-(* Registry seeding. *)
-
-let preload ?max_states ~path () =
-  match load ~path with
-  | Error e -> Error e
-  | Ok (c, loaded) ->
-    let seeded =
-      match loaded with
-      | Lr i ->
-        Models.preload_lr ?max_states ~g:c.g ~k:c.k ~sym:c.sym ~n:c.n i
-      | Lr_topo i ->
-        Models.preload_lr_topo ?max_states ~g:c.g ~k:c.k ~sym:c.sym
-          ~topo:i.LR.Proof.topo i
-      | Election i ->
-        Models.preload_election ?max_states ~g:c.g ~k:c.k ~sym:c.sym
-          ~n:c.n i
-      | Coin i ->
-        Models.preload_coin ?max_states ~g:c.g ~k:c.k ~sym:c.sym ~n:c.n
-          ~bound:c.bound i
-      | Consensus i ->
-        Models.preload_consensus ?max_states ~g:c.g ~k:c.k ~sym:c.sym
-          ~n:c.n ~f:c.f ~cap:c.cap ~initial:c.initial i
-    in
-    ignore seeded;
-    Ok (describe c loaded)

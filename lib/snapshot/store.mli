@@ -10,9 +10,11 @@
     and interval planes rebuild lazily as usual) -- together with the
     full model configuration and the arena's structural
     {!Mdp.Arena.fingerprint}.  [prtb serve --snapshot-dir DIR] then
-    {!preload}s every snapshot at startup, so the first query for a
-    snapshotted instance is answered without any exploration or
-    compile ([/stats] reports [explorations: 0, compiles: 0]).
+    loads every snapshot at startup and {!Models.preload}s it, so the
+    first query for a snapshotted instance is answered without any
+    exploration or compile ([/stats] reports [explorations: 0, compiles: 0]).  The
+    configuration is a {!Models.config}; this module only encodes,
+    decodes and rebuilds.
 
     Loading is as strict as [lib/cert]'s parser: an unknown container
     version, a truncated file, a one-byte tamper (the {!Codec} digest
@@ -21,59 +23,22 @@
     named [Error]s -- a stale or foreign snapshot is refused, never
     silently served. *)
 
-(** The full parameter tuple of a snapshotted instance.  Fields that a
-    model does not use hold its conventional defaults ([topology] is
-    ["ring"], [bound]/[cap]/[f] are [0], [initial] is [[||]]), so one
-    record covers all case studies. *)
-type config = {
-  model : string;  (** ["lr"], ["election"], ["coin"] or ["consensus"] *)
-  n : int;
-  g : int;
-  k : int;
-  topology : string;  (** ["ring"], ["line"] or ["star"] (lr only) *)
-  bound : int;  (** coin barrier *)
-  cap : int;  (** consensus round cap *)
-  f : int;  (** consensus fault bound *)
-  initial : bool array;  (** consensus initial estimates *)
-  sym : Analysis.Symmetry.mode;  (** exploration mode when compiled *)
-}
+(** Serialize to [prtba/1] bytes: the {!Models.config} fields, then
+    the instance's arena sections.  Raises [Invalid_argument] when
+    [config] names a different model than the instance is. *)
+val encode : Models.config -> Models.instance -> string
 
-(** A loaded instance, ready for the same engines the builders feed. *)
-type loaded =
-  | Lr of Lehmann_rabin.Proof.instance
-  | Lr_topo of Lehmann_rabin.Proof.topo_instance
-  | Election of Itai_rodeh.Proof.instance
-  | Coin of Shared_coin.Proof.instance
-  | Consensus of Ben_or.Proof.instance
-
-(** A one-line human description, e.g.
-    ["lr n=4 g=1 k=1 sym=on (142 states)"]. *)
-val describe : config -> loaded -> string
-
-(** Serialize to [prtba/1] bytes.  Raises [Invalid_argument] when
-    [config] names a different model than [loaded] carries. *)
-val encode : config -> loaded -> string
-
-(** [save ~path config loaded] writes {!encode} output atomically
+(** [save ~path config inst] writes {!encode} output atomically
     (temp file + rename).  Raises [Sys_error] on I/O failure. *)
-val save : path:string -> config -> loaded -> unit
+val save : path:string -> Models.config -> Models.instance -> unit
 
 (** Strict inverse of {!encode}: parses the container, rebuilds the
     fragment ({!Mdp.Explore.of_parts}) and the arena
-    ({!Mdp.Arena.assemble}) under the current model code, and refuses
-    -- with a named error -- anything malformed, tampered,
-    version-skewed, or whose recomputed fingerprint disagrees with the
-    stored one. *)
-val of_string : string -> (config * loaded, string) result
+    ({!Mdp.Arena.assemble}) under the current model code
+    ({!Models.assemble}), and refuses -- with a named error --
+    anything malformed, tampered, version-skewed, or whose recomputed
+    fingerprint disagrees with the stored one. *)
+val of_string : string -> (Models.config * Models.instance, string) result
 
 (** {!of_string} on a file's bytes; I/O errors become [Error]. *)
-val load : path:string -> (config * loaded, string) result
-
-(** [preload ?max_states ~path] loads a snapshot and seeds the
-    {!Models} registry under the key the matching builder would use
-    with this [max_states] ceiling (pass the daemon's
-    [config.max_states]).  [Ok description] on success -- also when
-    the key was already cached, which keeps the existing entry --
-    [Error] on refusal. *)
-val preload :
-  ?max_states:int -> path:string -> unit -> (string, string) result
+val load : path:string -> (Models.config * Models.instance, string) result

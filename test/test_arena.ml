@@ -585,12 +585,15 @@ type fixture = Fixture : {
 
 let fixtures =
   lazy
-    (let lr = Models.lr ~n:3 () in
-     let ir = Models.election ~n:3 () in
-     let sc = Models.coin ~n:2 ~bound:3 () in
-     let bo =
-       Models.consensus ~n:3 ~f:1 ~cap:2 ~initial:[| false; false; true |] ()
+    (let get ?bound ~model ~n () =
+       Models.get (Models.config ?bound ~model ~n ())
      in
+     let lr = get ~model:`Lr ~n:3 () in
+     let ir = get ~model:`Election ~n:3 () in
+     let sc = get ~bound:3 ~model:`Coin ~n:2 () in
+     let bo = get ~model:`Consensus ~n:3 () in
+     match lr, ir, sc, bo with
+     | Models.Lr lr, Models.Election ir, Models.Coin sc, Models.Consensus bo ->
      [ Fixture
          { name = "lr";
            expl = lr.LR.Proof.expl;
@@ -625,7 +628,8 @@ let fixtures =
            target =
              Mdp.Explore.indicator bo.BO.Proof.expl
                (Core.Pred.make "decided" BO.Automaton.some_decided);
-           ticks = 4 } ])
+           ticks = 4 } ]
+     | _ -> assert false)
 
 (* Structural equality, not [Q.equal]: the claim is bit-identity of
    the representation, which is strictly stronger. *)
@@ -929,8 +933,8 @@ let test_find_or_add () =
 
 let test_registry_memoizes () =
   let before = Models.stats () in
-  let a = Models.lr ~n:3 () in
-  let b = Models.lr ~n:3 () in
+  let a = Models.get (Models.config ~model:`Lr ~n:3 ()) in
+  let b = Models.get (Models.config ~model:`Lr ~n:3 ()) in
   Alcotest.(check bool) "same instance" true (a == b);
   let after = Models.stats () in
   Alcotest.(check int) "no new exploration" before.Models.explorations

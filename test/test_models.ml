@@ -5,9 +5,10 @@
    evict by recency.  Counters are process-global, so every test reads
    deltas against a snapshot rather than absolute values. *)
 
-module LR = Lehmann_rabin
 
 let snapshot () = Models.stats ()
+
+let get ?bound ~model ~n () = Models.get (Models.config ?bound ~model ~n ())
 
 let delta (a : Models.stats) (b : Models.stats) =
   ( b.Models.explorations - a.Models.explorations,
@@ -30,8 +31,10 @@ let test_hammer_one_key () =
             while Atomic.get barrier < hammer_domains do
               Domain.cpu_relax ()
             done;
-            let inst = Models.lr ~n:3 ~g:1 ~k:1 () in
-            Mdp.Arena.num_states inst.LR.Proof.arena))
+            let inst =
+              Models.get (Models.config ~g:1 ~k:1 ~model:`Lr ~n:3 ())
+            in
+            Models.num_states inst))
   in
   let states = List.map Domain.join spawned in
   let explorations, compiles, builds, hits = delta before (snapshot ()) in
@@ -52,7 +55,7 @@ let test_hammer_distinct_keys () =
     List.init hammer_domains (fun i ->
         Domain.spawn (fun () ->
             let n = 2 + (i mod 2) in
-            ignore (Models.election ~n ())))
+            ignore (get ~model:`Election ~n ())))
   in
   List.iter Domain.join spawned;
   let explorations, compiles, builds, hits = delta before (snapshot ()) in
@@ -63,9 +66,9 @@ let test_hammer_distinct_keys () =
 
 let test_repeat_is_hit () =
   let before = snapshot () in
-  ignore (Models.coin ~n:2 ~bound:2 ());
-  ignore (Models.coin ~n:2 ~bound:2 ());
-  ignore (Models.coin ~n:2 ~bound:3 ());
+  ignore (get ~bound:2 ~model:`Coin ~n:2 ());
+  ignore (get ~bound:2 ~model:`Coin ~n:2 ());
+  ignore (get ~bound:3 ~model:`Coin ~n:2 ());
   let explorations, compiles, builds, hits = delta before (snapshot ()) in
   Alcotest.(check int) "two explorations" 2 explorations;
   Alcotest.(check int) "two compiles" 2 compiles;
@@ -80,15 +83,15 @@ let test_eviction_by_capacity () =
   Fun.protect
     ~finally:(fun () -> Models.set_capacity None)
     (fun () ->
-       ignore (Models.lr ~n:2 ());
-       ignore (Models.election ~n:2 ());
+       ignore (get ~model:`Lr ~n:2 ());
+       ignore (get ~model:`Election ~n:2 ());
        let s = snapshot () in
        let evictions = s.Models.evictions - before.Models.evictions in
        Alcotest.(check bool) "evictions happened" true (evictions >= 1);
        (* Each entry overflows the 1-byte capacity on insert, so the
           registry ends the sequence empty and a re-request rebuilds. *)
        let before_rebuild = snapshot () in
-       ignore (Models.lr ~n:2 ());
+       ignore (get ~model:`Lr ~n:2 ());
        let _, _, builds, hits = delta before_rebuild (snapshot ()) in
        Alcotest.(check int) "rebuilt after eviction" 1 builds;
        Alcotest.(check int) "no hit" 0 hits)
@@ -96,8 +99,8 @@ let test_eviction_by_capacity () =
 let test_unbounded_keeps_entries () =
   (* With the bound lifted (the CLI default), repeats keep hitting. *)
   let before = snapshot () in
-  ignore (Models.lr ~n:2 ());
-  ignore (Models.lr ~n:2 ());
+  ignore (get ~model:`Lr ~n:2 ());
+  ignore (get ~model:`Lr ~n:2 ());
   let _, _, builds, hits = delta before (snapshot ()) in
   Alcotest.(check int) "one build" 1 builds;
   Alcotest.(check int) "one hit" 1 hits

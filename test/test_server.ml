@@ -222,6 +222,43 @@ let test_cert_matches_cli () =
   Alcotest.(check bool) "cert bodies differ across planes" false
     (String.equal served.Server.Http.resp_body exact.Server.Http.resp_body)
 
+(* /check and /cert compute at the g and k the body reports: for each
+   model the served state count and every certificate leaf's arena
+   fingerprint are those of the registry's g=2 instance. *)
+let test_g_k_honoured () =
+  List.iter
+    (fun (model, n) ->
+       let inst = Models.get (Models.config ~g:2 ~model ~n ()) in
+       let name = Models.model_name model in
+       let query = Printf.sprintf "?model=%s&n=%d&g=2" name n in
+       let check = parse_body (get ("/check" ^ query)) in
+       Alcotest.(check int) (name ^ ": params.g") 2
+         (int_at [ "params"; "g" ] check);
+       Alcotest.(check int) (name ^ ": states") (Models.num_states inst)
+         (int_at [ "states" ] check);
+       let fingerprint =
+         Models.with_arena
+           { Models.apply = (fun arena _ -> Mdp.Arena.fingerprint arena) }
+           inst
+       in
+       let cert = (get ("/cert" ^ query)).Server.Http.resp_body in
+       match Cert.Node.of_string cert with
+       | Error e -> Alcotest.failf "%s: /cert is not a certificate: %s" name e
+       | Ok cert ->
+         let leaves =
+           Array.to_list cert.Cert.Node.nodes
+           |> List.filter_map (fun node ->
+               match node.Cert.Node.rule with
+               | Cert.Node.Checked { fingerprint; _ } -> Some fingerprint
+               | _ -> None)
+         in
+         Alcotest.(check bool) (name ^ ": has checked leaves") true
+           (leaves <> []);
+         List.iter
+           (Alcotest.(check string) (name ^ ": leaf fingerprint") fingerprint)
+           leaves)
+    [ (`Election, 3); (`Coin, 2); (`Consensus, 3) ]
+
 let test_simulate_deterministic () =
   let target = "/simulate?model=election&n=3&trials=200&seed=7" in
   let a = get target in
@@ -665,6 +702,8 @@ let () =
             test_plane_cache_dimension;
           Alcotest.test_case "served cert == CLI --emit-cert" `Quick
             test_cert_matches_cli;
+          Alcotest.test_case "g/k honoured on every model" `Quick
+            test_g_k_honoured;
           Alcotest.test_case "simulate deterministic + cached" `Quick
             test_simulate_deterministic;
           Alcotest.test_case "lint served" `Quick test_lint_served;

@@ -72,20 +72,20 @@ let claim_string = function
   | Ok c -> Format.asprintf "%a" Core.Claim.pp c
   | Error e -> "composition failed: " ^ e
 
-let reload config loaded =
-  match Store.of_string (Store.encode config loaded) with
-  | Ok (c, l) -> (c, l)
+(* The registry's instance for [config], and the same instance after an
+   encode/decode round-trip. *)
+let roundtrip config =
+  let fresh = Models.get config in
+  match Store.of_string (Store.encode config fresh) with
+  | Ok (c, loaded) -> (fresh, c, loaded)
   | Error e -> Alcotest.failf "round-trip refused: %s" e
 
-let lr_config =
-  { Store.model = "lr"; n = 3; g = 1; k = 1; topology = "ring"; bound = 0;
-    cap = 0; f = 0; initial = [||]; sym = Analysis.Symmetry.Off }
+let lr_config = Models.config ~model:`Lr ~n:3 ()
 
 let test_roundtrip_lr () =
-  let fresh = Models.lr ~n:3 () in
-  match reload lr_config (Store.Lr fresh) with
-  | c, Store.Lr loaded ->
-    Alcotest.(check string) "model" "lr" c.Store.model;
+  match roundtrip lr_config with
+  | Models.Lr fresh, c, Models.Lr loaded ->
+    Alcotest.(check string) "model" "lr" (Models.model_name c.Models.model);
     check_arena "lr" ~fresh:fresh.LR.Proof.arena ~loaded:loaded.LR.Proof.arena;
     Alcotest.(check string) "lr: composed claim"
       (claim_string (LR.Proof.composed fresh))
@@ -95,15 +95,14 @@ let test_roundtrip_lr () =
     Alcotest.(check (float 0.0)) "lr: max expected time"
       (LR.Proof.max_expected_time fresh)
       (LR.Proof.max_expected_time loaded)
-  | _, _ -> Alcotest.fail "lr decoded to another model"
+  | _ -> Alcotest.fail "lr decoded to another model"
 
 let test_roundtrip_lr_sym () =
-  let fresh = Models.lr ~n:3 ~sym:Analysis.Symmetry.On () in
-  let config = { lr_config with Store.sym = Analysis.Symmetry.On } in
-  match reload config (Store.Lr fresh) with
-  | c, Store.Lr loaded ->
+  let config = { lr_config with Models.sym = Analysis.Symmetry.On } in
+  match roundtrip config with
+  | Models.Lr fresh, c, Models.Lr loaded ->
     Alcotest.(check bool) "sym mode survives" true
-      (c.Store.sym = Analysis.Symmetry.On);
+      (c.Models.sym = Analysis.Symmetry.On);
     (match loaded.LR.Proof.sym with
      | Some cert ->
        Alcotest.(check bool) "certificate still reduced" true
@@ -114,25 +113,21 @@ let test_roundtrip_lr_sym () =
     Alcotest.(check string) "lr-sym: composed claim"
       (claim_string (LR.Proof.composed fresh))
       (claim_string (LR.Proof.composed loaded))
-  | _, _ -> Alcotest.fail "lr-sym decoded to another model"
+  | _ -> Alcotest.fail "lr-sym decoded to another model"
 
 let test_roundtrip_lr_line () =
-  let fresh = Models.lr_topo ~topo:(LR.Topology.line 3) () in
-  let config = { lr_config with Store.topology = "line" } in
-  match reload config (Store.Lr_topo fresh) with
-  | _, Store.Lr_topo loaded ->
+  match roundtrip { lr_config with Models.topology = "line" } with
+  | Models.Lr_topo fresh, _, Models.Lr_topo loaded ->
     check_arena "lr-line" ~fresh:fresh.LR.Proof.tarena
       ~loaded:loaded.LR.Proof.tarena;
     Alcotest.(check string) "lr-line: composed claim"
       (claim_string (LR.Proof.composed_topo fresh))
       (claim_string (LR.Proof.composed_topo loaded))
-  | _, _ -> Alcotest.fail "lr-line decoded to another model"
+  | _ -> Alcotest.fail "lr-line decoded to another model"
 
 let test_roundtrip_election () =
-  let fresh = Models.election ~n:3 () in
-  let config = { lr_config with Store.model = "election" } in
-  match reload config (Store.Election fresh) with
-  | _, Store.Election loaded ->
+  match roundtrip (Models.config ~model:`Election ~n:3 ()) with
+  | Models.Election fresh, _, Models.Election loaded ->
     check_arena "election" ~fresh:fresh.IR.Proof.arena
       ~loaded:loaded.IR.Proof.arena;
     Alcotest.(check string) "election: composed claim"
@@ -141,13 +136,11 @@ let test_roundtrip_election () =
     Alcotest.(check (float 0.0)) "election: max expected time"
       (IR.Proof.max_expected_time fresh)
       (IR.Proof.max_expected_time loaded)
-  | _, _ -> Alcotest.fail "election decoded to another model"
+  | _ -> Alcotest.fail "election decoded to another model"
 
 let test_roundtrip_coin () =
-  let fresh = Models.coin ~n:2 ~bound:3 () in
-  let config = { lr_config with Store.model = "coin"; n = 2; bound = 3 } in
-  match reload config (Store.Coin fresh) with
-  | _, Store.Coin loaded ->
+  match roundtrip (Models.config ~bound:3 ~model:`Coin ~n:2 ()) with
+  | Models.Coin fresh, _, Models.Coin loaded ->
     check_arena "coin" ~fresh:fresh.SC.Proof.arena
       ~loaded:loaded.SC.Proof.arena;
     Alcotest.(check bool) "coin: direct bound" true
@@ -155,18 +148,15 @@ let test_roundtrip_coin () =
     Alcotest.(check (float 0.0)) "coin: exact expected time"
       (SC.Proof.expected_exact fresh)
       (SC.Proof.expected_exact loaded)
-  | _, _ -> Alcotest.fail "coin decoded to another model"
+  | _ -> Alcotest.fail "coin decoded to another model"
 
 let test_roundtrip_consensus () =
   let initial = [| false; false; true |] in
-  let fresh = Models.consensus ~n:3 ~f:1 ~cap:2 ~initial () in
-  let config =
-    { lr_config with Store.model = "consensus"; cap = 2; f = 1; initial }
-  in
-  match reload config (Store.Consensus fresh) with
-  | c, Store.Consensus loaded ->
+  let config = Models.config ~cap:2 ~f:1 ~initial ~model:`Consensus ~n:3 () in
+  match roundtrip config with
+  | Models.Consensus fresh, c, Models.Consensus loaded ->
     Alcotest.(check bool) "initial estimates survive" true
-      (c.Store.initial = initial);
+      (c.Models.initial = initial);
     check_arena "consensus" ~fresh:fresh.BO.Proof.arena
       ~loaded:loaded.BO.Proof.arena;
     Alcotest.(check bool) "consensus: agreement" true
@@ -176,7 +166,7 @@ let test_roundtrip_consensus () =
          (BO.Proof.decision_curve fresh ~rounds:[ 1; 2 ]))
       (List.map Q.to_string
          (BO.Proof.decision_curve loaded ~rounds:[ 1; 2 ]))
-  | _, _ -> Alcotest.fail "consensus decoded to another model"
+  | _ -> Alcotest.fail "consensus decoded to another model"
 
 (* ----------------------------------------------------------------- *)
 (* Refusals. *)
@@ -192,7 +182,7 @@ let refused name ~expect bytes =
       true (contains ~sub:expect e)
 
 let small_snapshot =
-  lazy (Store.encode lr_config (Store.Lr (Models.lr ~n:3 ())))
+  lazy (Store.encode lr_config (Models.get lr_config))
 
 let test_refuse_version_skew () =
   let bytes = Bytes.of_string (Lazy.force small_snapshot) in
