@@ -342,19 +342,12 @@ let check_lr_faults n g k faults budget release seed =
       (Q.to_string d.Faults.Lr.direct)
 
 let system_arg =
-  let parse = function
-    | "lr" | "lehmann-rabin" | "dining" -> Ok `Lr
-    | "election" | "itai-rodeh" -> Ok `Election
-    | "coin" | "shared-coin" -> Ok `Coin
-    | "consensus" | "ben-or" -> Ok `Consensus
-    | s -> Error (`Msg (Printf.sprintf "unknown system %S" s))
+  let parse s =
+    match Models.model_of_string s with
+    | Some m -> Ok m
+    | None -> Error (`Msg (Printf.sprintf "unknown system %S" s))
   in
-  let print fmt s =
-    Format.pp_print_string fmt
-      (match s with
-       | `Lr -> "lr" | `Election -> "election" | `Coin -> "coin"
-       | `Consensus -> "consensus")
-  in
+  let print fmt s = Format.pp_print_string fmt (Models.model_name s) in
   Arg.(required
        & pos 0 (some (conv (parse, print))) None
        & info [] ~docv:"SYSTEM"

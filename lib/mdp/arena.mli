@@ -1,30 +1,17 @@
-(** Compiled CSR (compressed-sparse-row) form of an explored fragment.
+(** Compiled form of an explored fragment: its CSR rows plus the
+    per-step tick mask and the float probability plane.
 
-    {!Explore.t} is the discovery structure: pointer-heavy
-    [step array array] rows of boxed [(index, rational)] tuples, built
-    incrementally by BFS.  Every engine question -- backward induction,
-    value iteration, qualitative fixpoints, SCCs, bisimulation, export
-    -- is a traversal of that same transition structure, so the arena
-    flattens it once into dense parallel arrays and every engine reads
-    the flat form:
+    {!Explore.t} already stores the transitions as dense parallel
+    arrays (see there); the arena's [step_off], [out_off], [tgt],
+    [prob_q] and [actions] fields are those very arrays, shared, not
+    copied.  Compiling adds only:
 
-    - [step_off.(i) .. step_off.(i+1) - 1] are the step indices of
-      state [i] (CSR row pointers; length [num_states + 1]);
-    - [out_off.(k) .. out_off.(k+1) - 1] are the branch indices of
-      step [k] (length [num_choices + 1]);
-    - [tgt.(o)] is the target state of branch [o], with its
-      probability stored once per plane: exact in [prob_q.(o)], as an
-      IEEE double in [prob_f.(o)] (the float plane is
-      [Rational.to_float] of the exact plane, precomputed so
-      float sweeps never convert in the inner loop);
-    - [tick.(k)] is the precomputed tick mask -- this replaces the
+    - [prob_f.(o)], branch [o]'s probability as an IEEE double
+      ([Rational.to_float] of the exact plane, precomputed so float
+      sweeps never convert in the inner loop);
+    - [tick.(k)], the precomputed tick mask -- this replaces the
       [~is_tick] closure formerly threaded through every engine
-      signature;
-    - [actions.(k)] is the original action of step [k].
-
-    Step and branch order is exactly the {!Explore} order, so
-    arithmetic performed in branch order is bit-identical to the
-    pre-compiled path.
+      signature.
 
     Budgeted partial fragments compile unchanged: frontier states
     (indices [>= num_expanded]) have empty step rows, which downstream
@@ -50,9 +37,10 @@ type ('s, 'a) t = private {
       (** memoized structural fingerprint; use {!fingerprint} *)
 }
 
-(** [compile ?is_tick expl] flattens a fragment.  Without [is_tick] the
-    tick mask is all-[false] (every step is zero-time), which is what
-    the untimed step-bounded engines use. *)
+(** [compile ?is_tick expl] adds the tick mask and the float plane to
+    a fragment's rows.  Without [is_tick] the tick mask is all-[false]
+    (every step is zero-time), which is what the untimed step-bounded
+    engines use. *)
 val compile : ?is_tick:('a -> bool) -> ('s, 'a) Explore.t -> ('s, 'a) t
 
 (** [of_pa ?max_states ?is_tick pa] = explore then compile. *)
@@ -60,23 +48,13 @@ val of_pa :
   ?max_states:int -> ?is_tick:('a -> bool) -> ('s, 'a) Core.Pa.t ->
   ('s, 'a) t
 
-(** [assemble ~step_off ~out_off ~tgt ~prob_q ~tick ~actions expl]
-    rebuilds an arena from CSR arrays produced by a previous {!compile}
-    (an arena snapshot) without re-flattening the fragment; {!compiles}
-    is {e not} incremented.  The float plane is recomputed from
-    [prob_q] exactly as {!compile} does, so loaded arenas are
-    bit-identical to freshly compiled ones; derived-plane memos start
-    empty and fill on first use.  Raises [Invalid_argument] when the
-    array lengths are mutually inconsistent. *)
-val assemble :
-  step_off:int array ->
-  out_off:int array ->
-  tgt:int array ->
-  prob_q:Proba.Rational.t array ->
-  tick:bool array ->
-  actions:'a array ->
-  ('s, 'a) Explore.t ->
-  ('s, 'a) t
+(** [assemble ~tick expl] is {!compile} with a stored tick mask (an
+    arena snapshot's) in place of a classifier; {!compiles} is {e not}
+    incremented.  The float plane is recomputed exactly as {!compile}
+    does, so loaded arenas are bit-identical to freshly compiled ones;
+    derived-plane memos start empty and fill on first use.  Raises
+    [Invalid_argument] when [tick] does not have one entry per step. *)
+val assemble : tick:bool array -> ('s, 'a) Explore.t -> ('s, 'a) t
 
 (** The dyadic probability plane, converted from [prob_q] on first use
     and memoized.  Raises {!Proba.Dyadic.Not_dyadic} (caching nothing)

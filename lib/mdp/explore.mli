@@ -3,15 +3,29 @@
     Breadth-first enumeration of the reachable states, producing a
     compact indexed representation of the underlying MDP: the
     nondeterministic choices at each state become the MDP's actions and
-    the probabilistic branches its transition distributions.  All
-    downstream analyses (finite-horizon backward induction, expected
-    time, qualitative reachability) work on this representation. *)
+    the probabilistic branches its transition distributions.  The
+    transitions are stored once, as compressed-sparse-row arrays that
+    {!Arena.compile} shares rather than copies:
+
+    - [step_off.(i) .. step_off.(i+1) - 1] are the steps of state [i]
+      (length [num_states + 1]);
+    - [out_off.(k) .. out_off.(k+1) - 1] are the branches of step [k]
+      (length [num_choices + 1]);
+    - [tgt.(o)] and [prob_q.(o)] are branch [o]'s target state and
+      exact weight;
+    - [actions.(k)] is step [k]'s original action.
+
+    A state's steps are in [Core.Pa.enabled] order and a step's
+    branches in support order, with support states that intern to one
+    index coalesced into one branch.  The arrays are shared: callers
+    must not mutate them. *)
 
 exception Too_many_states of int
 
-(** One explored step: the original action, and the outcome distribution
-    as pairs of (state index, probability). *)
-type 'a step = { action : 'a; outcomes : (int * Proba.Rational.t) array }
+(** Raised by {!of_parts} when the stored parts are not what exploring
+    the given automaton produces; the message names the first
+    difference. *)
+exception Stale of string
 
 type ('s, 'a) t
 
@@ -34,7 +48,7 @@ val run : ?max_states:int -> ?canon:('s -> 's) -> ('s, 'a) Core.Pa.t -> ('s, 'a)
 (** A possibly-incomplete exploration.  When the budget ran out,
     [fragment] still holds every interned state; the [frontier] states
     (the index suffix, see {!is_expanded}) were discovered but not
-    expanded and report no steps.  Downstream backward inductions treat
+    expanded and have empty rows.  Downstream backward inductions treat
     them as stuck, which {e under}-approximates reachability -- so a
     min-reach value computed on the fragment is a sound lower bound for
     the full automaton, though claims must not be certified from it
@@ -56,20 +70,30 @@ val run_budgeted :
   ?budget:Core.Budget.t -> ?clock:Core.Budget.clock -> ?canon:('s -> 's) ->
   ('s, 'a) Core.Pa.t -> ('s, 'a) partial
 
-(** [of_parts ~pa ~states ~steps ~start_indices ~expanded ()] rebuilds a
-    fragment from previously-explored parts (an arena snapshot) without
-    re-running the BFS: the intern table is reconstructed from [states]
-    in index order and {!explorations} is {e not} incremented.  [canon]
-    must be the same canonicalizer the original exploration used (or
-    omitted when it was the identity); as with {!run}, passing a
-    different one silently changes which states {!index} resolves.
-    Raises [Invalid_argument] when array lengths or index ranges are
+(** [of_parts ~pa ~states ~step_off ~out_off ~tgt ~prob_q ~actions
+    ~start_indices ~expanded ()] rebuilds a fragment from
+    previously-explored parts (an arena snapshot).  The intern table is
+    reconstructed from [states] in index order, then the exploration is
+    replayed against the stored rows: every expanded state and the
+    start states are re-expanded under [pa] (targets canonicalized by
+    [canon]) by the same row expansion {!run} uses, and the first step
+    whose action, target or weight differs -- or a stored state that is
+    duplicated, unreached or out of discovery order -- raises {!Stale}.
+    So the result is exactly the fragment {!run} (or a {!run_budgeted}
+    stopped after [expanded] expansions) builds from [pa], yet
+    {!explorations} is {e not} incremented.  [canon] must be the
+    canonicalizer the original exploration used (omitted when it was
+    the identity).  Raises [Invalid_argument] when array lengths are
     inconsistent. *)
 val of_parts :
   ?canon:('s -> 's) ->
   pa:('s, 'a) Core.Pa.t ->
   states:'s array ->
-  steps:'a step array array ->
+  step_off:int array ->
+  out_off:int array ->
+  tgt:int array ->
+  prob_q:Proba.Rational.t array ->
+  actions:'a array ->
   start_indices:int list ->
   expanded:int ->
   unit ->
@@ -96,6 +120,14 @@ val num_choices : ('s, 'a) t -> int
 (** Total number of probabilistic branches. *)
 val num_branches : ('s, 'a) t -> int
 
+(** {1 The rows} (shared, see above) *)
+
+val step_off : ('s, 'a) t -> int array
+val out_off : ('s, 'a) t -> int array
+val tgt : ('s, 'a) t -> int array
+val prob_q : ('s, 'a) t -> Proba.Rational.t array
+val actions : ('s, 'a) t -> 'a array
+
 (** [state expl i] is the state with index [i]. *)
 val state : ('s, 'a) t -> int -> 's
 
@@ -105,9 +137,6 @@ val index : ('s, 'a) t -> 's -> int option
 
 (** Indices of the start states. *)
 val start_indices : ('s, 'a) t -> int list
-
-(** [steps expl i] are the enabled steps of state [i]. *)
-val steps : ('s, 'a) t -> int -> 'a step array
 
 (** [states_where expl pred] lists the indices satisfying a predicate. *)
 val states_where : ('s, 'a) t -> ('s -> bool) -> int list

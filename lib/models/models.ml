@@ -29,10 +29,10 @@ let model_name = function
   | `Consensus -> "consensus"
 
 let model_of_string = function
-  | "lr" -> Some `Lr
-  | "election" -> Some `Election
-  | "coin" -> Some `Coin
-  | "consensus" -> Some `Consensus
+  | "lr" | "lehmann-rabin" | "dining" -> Some `Lr
+  | "election" | "itai-rodeh" -> Some `Election
+  | "coin" | "shared-coin" -> Some `Coin
+  | "consensus" | "ben-or" -> Some `Consensus
   | _ -> None
 
 type config = {
@@ -143,7 +143,7 @@ type rebuild = {
   rebuild :
     's 'a.
     pa:('s, 'a) Core.Pa.t -> spec:('s, 'a) Sym.spec ->
-    ('s, 'a) Mdp.Arena.t * Sym.certificate option;
+    is_tick:('a -> bool) -> ('s, 'a) Mdp.Arena.t * Sym.certificate option;
 }
 
 let assemble c r =
@@ -155,14 +155,14 @@ let assemble c r =
        let params = { LR.Automaton.n; g; k } in
        let arena, sym =
          r.rebuild ~pa:(LR.Automaton.make params)
-           ~spec:(LR.Symmetry.ring ~n ())
+           ~spec:(LR.Symmetry.ring ~n ()) ~is_tick:LR.Automaton.is_tick
        in
        Lr { LR.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
      | Some topo ->
        let tarena, tsym =
          r.rebuild
            ~pa:(LR.Automaton.make_general ~topo ~g ~k)
-           ~spec:(LR.Symmetry.spec topo)
+           ~spec:(LR.Symmetry.spec topo) ~is_tick:LR.Automaton.is_tick
        in
        Lr_topo
          { LR.Proof.topo; tg = g; tk = k;
@@ -171,12 +171,14 @@ let assemble c r =
     let params = { IR.Automaton.n; g; k } in
     let arena, sym =
       r.rebuild ~pa:(IR.Automaton.make params) ~spec:(IR.Symmetry.spec params)
+        ~is_tick:IR.Automaton.is_tick
     in
     Election { IR.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
   | `Coin ->
     let params = { SC.Automaton.n; bound = c.bound; g; k } in
     let arena, sym =
       r.rebuild ~pa:(SC.Automaton.make params) ~spec:(SC.Symmetry.spec params)
+        ~is_tick:SC.Automaton.is_tick
     in
     Coin { SC.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
   | `Consensus ->
@@ -185,7 +187,7 @@ let assemble c r =
     let arena, sym =
       r.rebuild
         ~pa:(BO.Automaton.make ~initial params)
-        ~spec:(BO.Symmetry.spec params ~initial)
+        ~spec:(BO.Symmetry.spec params ~initial) ~is_tick:BO.Automaton.is_tick
     in
     Consensus
       { BO.Proof.params; initial; expl = Mdp.Arena.explored arena; arena;

@@ -35,7 +35,9 @@ type model = [ `Lr | `Election | `Coin | `Consensus ]
 (** ["lr"], ["election"], ["coin"], ["consensus"]. *)
 val model_name : model -> string
 
-(** Inverse of {!model_name}. *)
+(** Inverse of {!model_name}, also accepting the aliases
+    ["lehmann-rabin"] and ["dining"] (lr), ["itai-rodeh"] (election),
+    ["shared-coin"] (coin) and ["ben-or"] (consensus).  Case-sensitive. *)
 val model_of_string : string -> model option
 
 (** The full parameter tuple of one case-study instance.  Fields that
@@ -107,6 +109,10 @@ val describe : config -> instance -> string
     [Mdp.Explore.Too_many_states]. *)
 val get : ?max_states:int -> config -> instance
 
+(** The registry key of ([config], [max_states]): the model name, the
+    fields that model reads, [max_states] and [sym]. *)
+val key : ?max_states:int -> config -> string
+
 (** [preload ?max_states config inst] seeds the registry with an
     instance built elsewhere -- an arena snapshot loaded by [prtb serve
     --snapshot-dir] -- under exactly the key {!get} would use, so the
@@ -119,11 +125,13 @@ val get : ?max_states:int -> config -> instance
 val preload : ?max_states:int -> config -> instance -> bool
 
 (** How a decoder rebuilds an arena under the current model code, given
-    the automaton and declared symmetry the config denotes. *)
+    the automaton, declared symmetry and tick classifier the config
+    denotes. *)
 type rebuild = {
   rebuild :
     's 'a.
     pa:('s, 'a) Core.Pa.t -> spec:('s, 'a) Analysis.Symmetry.spec ->
+    is_tick:('a -> bool) ->
     ('s, 'a) Mdp.Arena.t * Analysis.Symmetry.certificate option;
 }
 

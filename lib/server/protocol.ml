@@ -102,12 +102,10 @@ let str_field fields name ~default =
   | Some _ -> reject 400 "SRV103" "field %S must be a string" name
 
 let model_field fields =
-  match String.lowercase_ascii (str_field fields "model" ~default:"lr") with
-  | "lr" | "lehmann-rabin" | "dining" -> `Lr
-  | "election" | "itai-rodeh" -> `Election
-  | "coin" | "shared-coin" -> `Coin
-  | "consensus" | "ben-or" -> `Consensus
-  | other -> reject 404 "SRV104" "unknown model %S" other
+  let name = String.lowercase_ascii (str_field fields "model" ~default:"lr") in
+  match Models.model_of_string name with
+  | Some m -> m
+  | None -> reject 404 "SRV104" "unknown model %S" name
 
 let positive name v =
   if v < 1 then reject 400 "SRV103" "field %S must be positive" name;
@@ -261,19 +259,28 @@ let opt_int = function None -> "" | Some i -> string_of_int i
 
 (* The effective ceiling: the client's ask clamped to the server's cap,
    the cap itself when the client is silent.  With no server cap the
-   client value (or the empty default) passes through. *)
+   client value (or no ceiling) passes through. *)
 let clamped ceiling client =
   match ceiling, client with
-  | None, c -> opt_int c
-  | Some cap, None -> string_of_int cap
-  | Some cap, Some c -> string_of_int (Stdlib.min cap c)
+  | None, c -> c
+  | Some cap, None -> Some cap
+  | Some cap, Some c -> Some (Stdlib.min cap c)
 
+(* [sym_field] validated [s]; [Off] is unreachable. *)
+let sym_mode s =
+  Option.value (Analysis.Symmetry.mode_of_string s)
+    ~default:Analysis.Symmetry.Off
+
+let config (c : check_query) =
+  Models.config ~g:c.g ~k:c.k ~topology:c.topology ~bound:c.bound ~cap:c.cap
+    ~sym:(sym_mode c.sym) ~model:c.model ~n:c.n ()
+
+(* The registry key of the instance (only the fields its model reads),
+   so a query spelling a field its model ignores shares the entry. *)
 let check_key ~endpoint ?max_states c =
-  Printf.sprintf
-    "%s?model=%s&n=%d&g=%d&k=%d&topology=%s&bound=%d&cap=%d\
-     &max_states=%s&sym=%s&plane=%s"
-    endpoint (model_name c.model) c.n c.g c.k c.topology c.bound c.cap
-    (clamped max_states c.max_states) c.sym c.plane
+  Printf.sprintf "%s/%s&plane=%s" endpoint
+    (Models.key ?max_states:(clamped max_states c.max_states) (config c))
+    c.plane
 
 let canonical_key ?max_states ?max_trials = function
   | Check c -> Some (check_key ~endpoint:"check" ?max_states c)
@@ -292,7 +299,7 @@ let canonical_key ?max_states ?max_trials = function
   | Lint l ->
     Some
       (Printf.sprintf "lint?target=%s&max_states=%s&sym=%s" l.target
-         (clamped max_states l.lint_max_states) l.lint_sym)
+         (opt_int (clamped max_states l.lint_max_states)) l.lint_sym)
   (* A batch is a container, not a computation: its elements each have
      a canonical key and cache individually inside the Service; the
      envelope itself is never cached. *)

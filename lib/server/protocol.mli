@@ -100,12 +100,21 @@ val error_body : error -> string
 (** Classify and parse an HTTP request into a query. *)
 val of_request : Http.request -> (query, error) result
 
+(** The instance a /check or /cert query names. *)
+val config : check_query -> Models.config
+
+(** A validated ["auto"], ["on"] or ["off"]. *)
+val sym_mode : string -> Analysis.Symmetry.mode
+
 (** The canonical cache key of a query, with every default filled in
-    -- equal keys answer from the result cache.  [max_states] and
-    [max_trials] are the server's ceilings: the key stores the
-    {e clamped} values, so a query spelling a ceiling explicitly, one
-    omitting it and one exceeding the server's cap share one entry
-    (they compute the same body).  [None] for [/stats] and [/health],
-    which are never cached. *)
+    -- equal keys answer from the result cache.  A /check or /cert key
+    is the endpoint, {!Models.key} of the query's {!config} (so a field
+    the model does not read, such as [bound] for lr, does not split
+    entries) and the plane.  [max_states] and [max_trials] are the
+    server's ceilings: the key stores the {e clamped} values, so a
+    query spelling a ceiling explicitly, one omitting it and one
+    exceeding the server's cap share one entry (they compute the same
+    body).  [None] for [/stats] and [/health], which are never
+    cached. *)
 val canonical_key :
   ?max_states:int -> ?max_trials:int -> query -> string option

@@ -98,22 +98,10 @@ let health_json t =
 let rat r = J.Str (Q.to_string r)
 let claim_str c = Format.asprintf "%a" Core.Claim.pp c
 
-(* Validated by [Protocol.sym_field]; [Off] is unreachable dead right. *)
-let sym_mode s =
-  Option.value (Analysis.Symmetry.mode_of_string s)
-    ~default:Analysis.Symmetry.Off
-
 (* Validated by [Protocol.plane_field]. *)
 let plane_mode = function
   | "exact" -> Mdp.Plane.Exact
   | _ -> Mdp.Plane.Interval
-
-(* The instance a /check or /cert query names ([Protocol.check_fields]
-   validated its fields). *)
-let config_of (c : Protocol.check_query) =
-  Models.config ~g:c.Protocol.g ~k:c.Protocol.k ~topology:c.Protocol.topology
-    ~bound:c.Protocol.bound ~cap:c.Protocol.cap ~sym:(sym_mode c.Protocol.sym)
-    ~model:c.Protocol.model ~n:c.Protocol.n ()
 
 (* The state count a body reports: for a certified orbit quotient, the
    unreduced reachable count recovered from the certificate -- which is
@@ -145,7 +133,7 @@ let resolve ~max_states ~header ~degraded ~body (c : Protocol.check_query) =
   let compute () =
     try
       Mdp.Plane.with_ambient (plane_mode c.Protocol.plane) (fun () ->
-          let config = config_of c in
+          let config = Protocol.config c in
           body ~max_states config (Models.get ~max_states config))
     with
     | Mdp.Explore.Too_many_states m ->
@@ -287,7 +275,7 @@ let check_results (config : Models.config) inst =
    seed, a fixed horizon, and a trial count pinned to 1 -- which is
    what lets tests fixture the body. *)
 let deadline_estimate (c : Protocol.check_query) =
-  match Models.simulation (config_of c) with
+  match Models.simulation (Protocol.config c) with
   | Error _ -> J.Null
   | Ok (Models.Simulation { setup; target; horizon = within }) ->
     let expired = Core.Budget.start (Core.Budget.v ~wall:0.0 ~retries:1 ()) in
@@ -475,7 +463,8 @@ let lint_json t (l : Protocol.lint_query) =
       | None -> t.config.max_states
     in
     let report =
-      entry.Models.lint ~max_states ~sym:(sym_mode l.Protocol.lint_sym) ()
+      entry.Models.lint ~max_states
+        ~sym:(Protocol.sym_mode l.Protocol.lint_sym) ()
     in
     Ok
       (J.Obj

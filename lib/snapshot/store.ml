@@ -128,118 +128,59 @@ let unmarshal : type v. (string * string) list -> string -> v =
   with Failure _ | Invalid_argument _ ->
     refuse "snapshot section %S: undecodable blob" name
 
-(* Rebuild fragment + arena from the sections, under the current model
-   code ([pa], [spec]), validating every index before [Explore.of_parts]
-   and [Arena.assemble] see it.  The result must re-fingerprint to the
-   stored digest or the snapshot is stale (model code changed since it
-   was compiled) and is refused. *)
+(* Rebuild fragment + arena from the sections under the current model
+   code ([pa], [spec], [is_tick]).  [Explore.of_parts] re-derives every
+   stored row from [pa] and [Store] re-derives the tick mask from
+   [is_tick], so a snapshot of another instance, or one compiled by
+   other model code, is refused as stale rather than served. *)
 let rebuild (type s a) ~(pa : (s, a) Core.Pa.t)
-    ~(spec : (s, a) Sym.spec) sections :
+    ~(spec : (s, a) Sym.spec) ~(is_tick : a -> bool) sections :
   (s, a) Mdp.Arena.t * Sym.certificate option =
   let counts = parsed Codec.ints_of_string sections "counts" in
   if Array.length counts <> 2 then
     refuse "snapshot section \"counts\": expected 2 integers, found %d"
       (Array.length counts);
-  let n = counts.(0) and expanded = counts.(1) in
-  if n < 0 || expanded < 0 || expanded > n then
-    refuse "snapshot counts out of range (states %d, expanded %d)" n
-      expanded;
-  let starts = parsed Codec.ints_of_string sections "starts" in
-  let step_off = parsed Codec.ints_of_string sections "step_off" in
-  let out_off = parsed Codec.ints_of_string sections "out_off" in
-  let tgt = parsed Codec.ints_of_string sections "tgt" in
-  let tick = parsed Codec.bools_of_string sections "tick" in
-  let prob_q = parsed Codec.rats_of_string sections "prob_q" in
   let states : s array = unmarshal sections "states" in
-  let actions : a array = unmarshal sections "actions" in
+  if Array.length states <> counts.(0) then
+    refuse "snapshot states array has %d entries, counts say %d"
+      (Array.length states) counts.(0);
   let cert : Sym.certificate option =
     match section sections "sym" with
     | "" -> None
     | _ -> Some (unmarshal sections "sym")
   in
-  if Array.length states <> n then
-    refuse "snapshot states array has %d entries, counts say %d"
-      (Array.length states) n;
-  let num_steps = Array.length tick in
-  if Array.length step_off <> n + 1 then
-    refuse "snapshot step_off has %d entries for %d states"
-      (Array.length step_off) n;
-  if Array.length out_off <> num_steps + 1
-     || Array.length actions <> num_steps then
-    refuse "snapshot step arrays disagree (%d ticks, %d out_off, %d \
-            actions)"
-      num_steps (Array.length out_off) (Array.length actions);
-  let monotone what arr limit =
-    if arr.(0) <> 0 then refuse "snapshot %s does not start at 0" what;
-    for i = 0 to Array.length arr - 2 do
-      if arr.(i + 1) < arr.(i) then
-        refuse "snapshot %s is not monotone at %d" what i
-    done;
-    if arr.(Array.length arr - 1) <> limit then
-      refuse "snapshot %s ends at %d, expected %d" what
-        (arr.(Array.length arr - 1))
-        limit
-  in
-  monotone "step_off" step_off num_steps;
-  monotone "out_off" out_off (Array.length tgt);
-  if Array.length prob_q <> Array.length tgt then
-    refuse "snapshot probability plane has %d entries for %d branches"
-      (Array.length prob_q) (Array.length tgt);
-  Array.iter
-    (fun t ->
-       if t < 0 || t >= n then
-         refuse "snapshot branch target %d out of range [0, %d)" t n)
-    tgt;
-  List.iter
-    (fun i ->
-       if i < 0 || i >= n then
-         refuse "snapshot start index %d out of range [0, %d)" i n)
-    (Array.to_list starts);
-  for i = expanded to n - 1 do
-    if step_off.(i + 1) <> step_off.(i) then
-      refuse "snapshot frontier state %d has steps" i
-  done;
-  (* A reduced fragment interns orbit representatives; [index] lookups
-     only resolve if the fragment carries the same canonicalizer the
-     original exploration used. *)
+  (* A reduced fragment interns orbit representatives; replaying it and
+     resolving [index] lookups both need the canonicalizer the original
+     exploration used. *)
   let canon =
     match cert with
     | Some c when c.Sym.reduced ->
       Some (Sym.canonicalizer ~equal:(Core.Pa.equal_state pa) spec)
     | Some _ | None -> None
   in
-  let steps =
-    Array.init n (fun i ->
-        Array.init
-          (step_off.(i + 1) - step_off.(i))
-          (fun j ->
-             let s = step_off.(i) + j in
-             { Mdp.Explore.action = actions.(s);
-               outcomes =
-                 Array.init
-                   (out_off.(s + 1) - out_off.(s))
-                   (fun o ->
-                      let b = out_off.(s) + o in
-                      (tgt.(b), prob_q.(b))) }))
-  in
   let expl =
     try
-      Mdp.Explore.of_parts ?canon ~pa ~states ~steps
-        ~start_indices:(Array.to_list starts) ~expanded ()
-    with Invalid_argument msg -> refuse "snapshot fragment: %s" msg
+      Mdp.Explore.of_parts ?canon ~pa ~states
+        ~step_off:(parsed Codec.ints_of_string sections "step_off")
+        ~out_off:(parsed Codec.ints_of_string sections "out_off")
+        ~tgt:(parsed Codec.ints_of_string sections "tgt")
+        ~prob_q:(parsed Codec.rats_of_string sections "prob_q")
+        ~actions:(unmarshal sections "actions")
+        ~start_indices:
+          (Array.to_list (parsed Codec.ints_of_string sections "starts"))
+        ~expanded:counts.(1) ()
+    with
+    | Mdp.Explore.Stale msg -> refuse "snapshot is stale: %s" msg
+    | Invalid_argument msg -> refuse "snapshot fragment: %s" msg
   in
-  let arena =
-    try
-      Mdp.Arena.assemble ~step_off ~out_off ~tgt ~prob_q ~tick ~actions
-        expl
-    with Invalid_argument msg -> refuse "snapshot arena: %s" msg
-  in
+  let tick = parsed Codec.bools_of_string sections "tick" in
+  if tick <> Array.map is_tick (Mdp.Explore.actions expl) then
+    refuse "snapshot is stale: the tick mask differs";
+  let arena = Mdp.Arena.assemble ~tick expl in
   let stored_fp = section sections "fingerprint" in
   let rebuilt_fp = Mdp.Arena.fingerprint arena in
   if not (String.equal stored_fp rebuilt_fp) then
-    refuse
-      "snapshot fingerprint mismatch: stored %s, rebuilt %s (the model \
-       code changed since this snapshot was compiled)"
+    refuse "snapshot fingerprint mismatch: stored %s, rebuilt %s"
       stored_fp rebuilt_fp;
   (arena, cert)
 
@@ -255,7 +196,8 @@ let instantiate sections =
       (Array.length c.initial) c.n;
   ( c,
     Models.assemble c
-      { Models.rebuild = (fun ~pa ~spec -> rebuild ~pa ~spec sections) } )
+      { Models.rebuild =
+          (fun ~pa ~spec ~is_tick -> rebuild ~pa ~spec ~is_tick sections) } )
 
 let of_string bytes =
   match Codec.decode bytes with

@@ -1,6 +1,6 @@
 (** Arena snapshots: a compiled case-study instance as one [.prtba]
-    file, loadable in milliseconds by a process that never ran the
-    model.
+    file, loadable without an exploration or a compile by a process
+    that never ran the model.
 
     [prtb compile MODEL -o FILE.prtba] explores and compiles an
     instance, then {!save} serializes the compiled {!Mdp.Arena} -- the
@@ -18,8 +18,9 @@
 
     Loading is as strict as [lib/cert]'s parser: an unknown container
     version, a truncated file, a one-byte tamper (the {!Codec} digest
-    seals every byte), a malformed section, or a fingerprint that does
-    not match the arena rebuilt by the {e current} model code are all
+    seals every byte), a malformed section, rows or a tick mask that
+    the {e current} model code does not derive for the stored config,
+    or a fingerprint that does not match the loaded arena are all
     named [Error]s -- a stale or foreign snapshot is refused, never
     silently served. *)
 
@@ -33,11 +34,13 @@ val encode : Models.config -> Models.instance -> string
 val save : path:string -> Models.config -> Models.instance -> unit
 
 (** Strict inverse of {!encode}: parses the container, rebuilds the
-    fragment ({!Mdp.Explore.of_parts}) and the arena
-    ({!Mdp.Arena.assemble}) under the current model code
-    ({!Models.assemble}), and refuses -- with a named error --
-    anything malformed, tampered, version-skewed, or whose recomputed
-    fingerprint disagrees with the stored one. *)
+    fragment ({!Mdp.Explore.of_parts}, which re-derives every stored
+    row) and the arena ({!Mdp.Arena.assemble}) under the current model
+    code ({!Models.assemble}), and refuses -- with a named error --
+    anything malformed, tampered or version-skewed, anything stale
+    (["snapshot is stale: ..."]: rows or tick mask the current model
+    does not derive), or a stored fingerprint the loaded arena does
+    not have. *)
 val of_string : string -> (Models.config * Models.instance, string) result
 
 (** {!of_string} on a file's bytes; I/O errors become [Error]. *)

@@ -1,10 +1,11 @@
 (* Differential tests for the compiled arena: every engine result must
    be identical -- structurally equal rationals, bit-identical floats
-   -- to the pre-refactor path that walked [Explore.step] records with
+   -- to the pre-refactor path that walked per-state step records with
    an [~is_tick] closure.  The [Legacy] module below is that path,
-   copied verbatim from the tree as it stood before the arena landed,
-   so any divergence introduced by the CSR compilation or by the
-   engines' new inner loops fails here first. *)
+   copied verbatim from the tree as it stood before the arena landed
+   (it reads the fragment's rows per state through
+   [Test_support.Step_view]), so any divergence introduced by the CSR
+   layout or by the engines' new inner loops fails here first. *)
 
 module Q = Proba.Rational
 module P = Parallel.Pool
@@ -12,6 +13,7 @@ module LR = Lehmann_rabin
 module IR = Itai_rodeh
 module SC = Shared_coin
 module BO = Ben_or
+module Step_view = Test_support.Step_view
 
 let with_pool domains f =
   let pool = P.create ~domains in
@@ -21,7 +23,10 @@ let with_pool domains f =
 (* The pre-refactor engines (reference implementations) *)
 
 module Legacy = struct
-  module Explore = Mdp.Explore
+  module Explore = struct
+    include Mdp.Explore
+    include Test_support.Step_view
+  end
 
   exception No_convergence of string
 
@@ -863,10 +868,10 @@ let test_arena_structure () =
        Alcotest.(check int) (f.name ^ " num_branches")
          (Mdp.Explore.num_branches f.expl)
          (Mdp.Arena.num_branches a);
-       (* Step rows mirror [Explore.steps] in order, content, tick
+       (* Step rows mirror the fragment's rows in order, content, tick
           classification, and both probability planes. *)
        for i = 0 to n - 1 do
-         let steps = Mdp.Explore.steps f.expl i in
+         let steps = Step_view.steps f.expl i in
          Alcotest.(check int)
            (Printf.sprintf "%s steps at %d" f.name i)
            (Array.length steps)
@@ -877,7 +882,7 @@ let test_arena_structure () =
               let kk = lo + k in
               if
                 not
-                  (f.is_tick step.Mdp.Explore.action
+                  (f.is_tick step.Step_view.action
                    = Mdp.Arena.is_tick_step a ~step:kk)
               then Alcotest.failf "%s: tick mask differs at %d/%d" f.name i k;
               let olo = a.Mdp.Arena.out_off.(kk) in
@@ -890,10 +895,49 @@ let test_arena_structure () =
                      Alcotest.failf "%s: exact plane differs" f.name;
                    if not (Float.equal a.Mdp.Arena.prob_f.(o) (Q.to_float w))
                    then Alcotest.failf "%s: float plane differs" f.name)
-                step.Mdp.Explore.outcomes)
+                step.Step_view.outcomes)
            steps
        done)
     (Lazy.force fixtures)
+
+(* The arena adds a tick mask and a float plane; its CSR rows are the
+   fragment's own arrays, not copies. *)
+let test_compile_shares_rows () =
+  List.iter
+    (fun (Fixture f) ->
+       let a = f.arena in
+       Alcotest.(check bool) (f.name ^ " shares the fragment's rows") true
+         (a.Mdp.Arena.step_off == Mdp.Explore.step_off f.expl
+          && a.Mdp.Arena.out_off == Mdp.Explore.out_off f.expl
+          && a.Mdp.Arena.tgt == Mdp.Explore.tgt f.expl
+          && a.Mdp.Arena.prob_q == Mdp.Explore.prob_q f.expl
+          && a.Mdp.Arena.actions == Mdp.Explore.actions f.expl))
+    (Lazy.force fixtures)
+
+(* A budgeted fragment's frontier rows are empty, and its expanded rows
+   are the complete exploration's first rows: both explorations
+   visit states in the same order. *)
+let test_partial_frontier_rows () =
+  let pa = LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 } in
+  let partial =
+    Mdp.Explore.run_budgeted ~budget:(Core.Budget.v ~max_states:500 ()) pa
+  in
+  let expl = partial.Mdp.Explore.fragment in
+  let n = Mdp.Explore.num_states expl in
+  let expanded = Mdp.Explore.num_expanded expl in
+  Alcotest.(check bool) "nonempty frontier" true (expanded < n);
+  for i = expanded to n - 1 do
+    Alcotest.(check int) (Printf.sprintf "frontier row %d is empty" i) 0
+      (Array.length (Step_view.steps expl i))
+  done;
+  let step_off = Mdp.Explore.step_off expl in
+  Alcotest.(check int) "rows end at the last expanded state"
+    (Mdp.Explore.num_choices expl) step_off.(expanded);
+  let full = Mdp.Explore.run pa in
+  for i = 0 to expanded - 1 do
+    if Step_view.steps expl i <> Step_view.steps full i then
+      Alcotest.failf "expanded row %d differs from the complete run's" i
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Mdp.Funtbl.find_or_add *)
@@ -1184,9 +1228,9 @@ module Int_map = Map.Make (Int)
 (* A state's steps as sorted, deduplicated (marshalled action,
    "block:weight;..." distribution) pairs, weights summed exactly. *)
 let reference_signature expl blocks i =
-  Mdp.Explore.steps expl i
+  Step_view.steps expl i
   |> Array.to_list
-  |> List.map (fun { Mdp.Explore.action; outcomes } ->
+  |> List.map (fun { Step_view.action; outcomes } ->
       let per_block =
         Array.fold_left
           (fun m (j, w) ->
@@ -1265,7 +1309,11 @@ let () =
             test_bisim_refine_pinned ] );
       ( "structure",
         [ Alcotest.test_case "CSR mirrors the fragment" `Quick
-            test_arena_structure ] );
+            test_arena_structure;
+          Alcotest.test_case "compile shares the fragment's rows" `Quick
+            test_compile_shares_rows;
+          Alcotest.test_case "partial fragment keeps empty frontier rows"
+            `Quick test_partial_frontier_rows ] );
       ( "funtbl",
         [ Alcotest.test_case "find_or_add" `Quick test_find_or_add ] );
       ( "registry",

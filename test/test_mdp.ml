@@ -181,9 +181,9 @@ let test_fh_walker_policy () =
   (* With budget remaining, the minimizing adversary delays: it picks
      the tick step at the start state. *)
   let step_idx = policy.(2).(start_i) in
-  let steps = Mdp.Explore.steps walker_expl start_i in
+  let steps = Test_support.Step_view.steps walker_expl start_i in
   Alcotest.(check bool) "delays via tick" true
-    (Test_support.Toys.Walker.is_tick steps.(step_idx).Mdp.Explore.action);
+    (Test_support.Toys.Walker.is_tick steps.(step_idx).Test_support.Step_view.action);
   (* Target states carry no decision. *)
   let done_i = Option.get (Mdp.Explore.index walker_expl Test_support.Toys.Walker.Done) in
   Alcotest.(check int) "target has no step" (-1) (policy.(2).(done_i))
@@ -513,10 +513,10 @@ let test_expected_policy () =
   in
   Alcotest.(check (float 1e-9)) "value 2" 2.0 values.(start_i);
   (* The maximizing adversary delays: picks the tick step at start. *)
-  let steps = Mdp.Explore.steps walker_expl start_i in
+  let steps = Test_support.Step_view.steps walker_expl start_i in
   Alcotest.(check bool) "delays" true
     (Test_support.Toys.Walker.is_tick
-       steps.(policy.(start_i)).Mdp.Explore.action);
+       steps.(policy.(start_i)).Test_support.Step_view.action);
   let done_i =
     Option.get (Mdp.Explore.index walker_expl Test_support.Toys.Walker.Done)
   in

@@ -130,6 +130,21 @@ let test_repeat_hits_cache () =
     (int_at [ "results_cache"; "hits" ] stats2
      > int_at [ "results_cache"; "hits" ] stats1)
 
+(* The key holds only the fields the model reads: spelling a field the
+   model ignores (lr has no barrier or round cap, coin no round cap)
+   computes the same body, so it is answered from the same entry. *)
+let test_unread_fields_share_cache () =
+  List.iter
+    (fun (base, spelled) ->
+       let first = get base in
+       let second = get spelled in
+       Alcotest.(check (option string)) (spelled ^ " is a hit") (Some "hit")
+         (Server.Http.resp_header second "x-prtb-cache");
+       Alcotest.(check string) (spelled ^ ": same bytes")
+         first.Server.Http.resp_body second.Server.Http.resp_body)
+    [ ("/check?model=lr&n=3", "/check?model=lr&n=3&bound=9&cap=5");
+      ("/cert?model=coin&n=2&bound=2", "/cert?model=coin&n=2&bound=2&cap=7") ]
+
 (* GET query pairs and a POST JSON body canonicalize to the same key,
    so the POST form hits the GET form's cache entry. *)
 let test_post_and_get_share_cache () =
@@ -694,6 +709,8 @@ let () =
             test_check_matches_cli;
           Alcotest.test_case "repeat hits cache, registry idle" `Quick
             test_repeat_hits_cache;
+          Alcotest.test_case "unread fields share the cache entry" `Quick
+            test_unread_fields_share_cache;
           Alcotest.test_case "POST shares GET's cache entry" `Quick
             test_post_and_get_share_cache;
           Alcotest.test_case "sym: distinct keys, identical bodies" `Quick

@@ -6,9 +6,10 @@
    exactly as [Arena.compile] computes it, and the dyadic and interval
    planes rebuild from the exact plane -- so every engine verdict is
    byte-for-byte the same.  Refusals assert the strict-parser
-   contract: version skew, truncation, a one-byte tamper and a
-   fingerprint mismatch are all named errors, never a silently wrong
-   arena. *)
+   contract: version skew, truncation, a one-byte tamper, a
+   fingerprint mismatch and a stale snapshot (rows or tick mask that
+   the current model code does not derive) are all named errors, never
+   a silently wrong arena. *)
 
 module Q = Proba.Rational
 module LR = Lehmann_rabin
@@ -232,6 +233,47 @@ let test_refuse_fingerprint_mismatch () =
     refused "fingerprint mismatch" ~expect:"fingerprint"
       (Codec.encode sections)
 
+(* A snapshot resealed under another instance's config: the coin n=2
+   bound=4 arena (35 states) labelled bound=3.  The container is
+   well-formed and correctly sealed, and its fingerprint matches its
+   own arrays, so only re-deriving the rows from the bound=3 automaton
+   (27 states) can tell that it describes a different object. *)
+let rewrite_section name f bytes =
+  match Codec.decode bytes with
+  | Error e -> Alcotest.failf "decode of a good snapshot failed: %s" e
+  | Ok sections ->
+    Codec.encode
+      (List.map
+         (fun (n, payload) -> if n = name then (n, f payload) else (n, payload))
+         sections)
+
+let test_refuse_stale_config () =
+  let config = Models.config ~bound:4 ~model:`Coin ~n:2 () in
+  let bytes = Store.encode config (Models.get config) in
+  let relabel payload =
+    match Codec.strs_of_string payload with
+    | Ok [ model; n; g; k; topology; "4"; cap; f; initial; sym ] ->
+      Codec.strs_to_string
+        [ model; n; g; k; topology; "3"; cap; f; initial; sym ]
+    | Ok _ | Error _ -> Alcotest.fail "unexpected config section"
+  in
+  refused "config resealed as bound=3" ~expect:"stale"
+    (rewrite_section "config" relabel bytes);
+  Alcotest.(check int) "the real bound=3 instance is smaller" 27
+    (Models.num_states (Models.get { config with Models.bound = 3 }))
+
+(* The tick mask is re-derived from the model's classifier too. *)
+let test_refuse_stale_tick () =
+  let flip payload =
+    match Codec.bools_of_string payload with
+    | Ok tick ->
+      tick.(0) <- not tick.(0);
+      Codec.bools_to_string tick
+    | Error e -> Alcotest.failf "tick section: %s" e
+  in
+  refused "tick mask flipped" ~expect:"stale"
+    (rewrite_section "tick" flip (Lazy.force small_snapshot))
+
 let test_load_missing_file () =
   match Store.load ~path:"/nonexistent/snapshot.prtba" with
   | Ok _ -> Alcotest.fail "loaded a nonexistent file"
@@ -252,5 +294,7 @@ let () =
           Alcotest.test_case "one-byte tamper" `Quick test_refuse_tamper;
           Alcotest.test_case "fingerprint mismatch" `Quick
             test_refuse_fingerprint_mismatch;
+          Alcotest.test_case "stale config" `Quick test_refuse_stale_config;
+          Alcotest.test_case "stale tick mask" `Quick test_refuse_stale_tick;
           Alcotest.test_case "missing file" `Quick test_load_missing_file ] )
     ]
