@@ -131,32 +131,11 @@ let bench_tests () =
            ( BO.Proof.agreement_violation consensus,
              BO.Proof.decision_curve consensus ~rounds:[ 2 ] )))
   in
-  let float_engine =
-    Test.make ~name:"engine:min_reach_float (13 units, n=3)"
-      (Staged.stage (fun () ->
-           Mdp.Finite_horizon.min_reach_float arena ~target:lr3_target
-             ~ticks:13))
-  in
   let arena_compile =
     Test.make ~name:"arena:compile LR n=3"
       (Staged.stage (fun () ->
            Mdp.Arena.compile ~is_tick:LR.Automaton.is_tick
              lr3.LR.Proof.expl))
-  in
-  let arena_sweep =
-    Test.make ~name:"arena:sweep max_reach_float (13 ticks, n=3)"
-      (Staged.stage (fun () ->
-           Mdp.Finite_horizon.max_reach_float arena ~target:lr3_target
-             ~ticks:13))
-  in
-  let bisim_labels =
-    Array.init (Mdp.Arena.num_states arena) (fun i ->
-        if Core.Pred.mem LR.Regions.c (Mdp.Arena.state arena i) then 1
-        else 0)
-  in
-  let bisim =
-    Test.make ~name:"engine:bisim refine (n=3)"
-      (Staged.stage (fun () -> Mdp.Bisim.refine arena ~labels:bisim_labels ()))
   in
   (* Symmetry reduction: the canonicalizer is the per-successor cost
      --sym adds to exploration (orbit closure + minimum); the lr4
@@ -357,9 +336,8 @@ let bench_tests () =
              o.Server.Chaos.answered)) ]
   in
   Test.make_grouped ~name:"prtb"
-    ([ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; float_engine;
-       rational_engine; arena_compile; arena_sweep; bisim; sym_canon;
-       explore_lr4_reduced; sim ]
+    ([ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; rational_engine;
+       arena_compile; sym_canon; explore_lr4_reduced; sim ]
      @ substrate @ cert_tests @ serve_tests @ snapshot_tests
      @ chaos_tests)
 
@@ -455,14 +433,13 @@ let baseline_rows path =
 (* The tier-1-covered kernels: the e1-e12 experiment pipelines plus
    the subsystem kernels whose fast paths the suite also exercises
    (symmetry canonicalization, the certified lr4 orbit quotient, the
-   served degraded path, the snapshot cold load, the chaos round, the
-   certificate emit/verify pipeline and bisimulation refinement).  The
+   served degraded path, the snapshot cold load, the chaos round and
+   the certificate emit/verify pipeline).  The
    substrate and sim micro-benchmarks are too jittery for even a
    coarse CI gate. *)
 let guarded_prefixes =
   [ "prtb/sym:"; "prtb/explore:"; "prtb/serve:deadline";
-    "prtb/serve:snapshot-cold"; "prtb/chaos:"; "prtb/engine:bisim";
-    "prtb/cert:" ]
+    "prtb/serve:snapshot-cold"; "prtb/chaos:"; "prtb/cert:" ]
 
 let guarded name =
   let has_prefix p =

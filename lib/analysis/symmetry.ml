@@ -451,7 +451,3 @@ let explored ~model ~mode ?max_states ?max_orbit ?max_checks spec pa =
           explicit demand, so failing to certify is an error. *)
        if mode = On then raise (Not_certified (rejected ~model diags));
        (Mdp.Explore.run ?max_states pa, None))
-
-let require ~model = function
-  | diags, Some cert -> (diags, cert)
-  | diags, None -> raise (Not_certified (rejected ~model diags))

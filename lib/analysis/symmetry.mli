@@ -130,12 +130,3 @@ val explored :
   ('s, 'a) spec ->
   ('s, 'a) Core.Pa.t ->
   ('s, 'a) Mdp.Explore.t * certificate option
-
-(** [require ~model result] unwraps a {!verify} result, raising
-    {!Not_certified} with the concatenated diagnostics when no
-    certificate was produced.  Surfaces use it to implement
-    [--sym on]. *)
-val require :
-  model:string ->
-  Diagnostic.t list * certificate option ->
-  Diagnostic.t list * certificate

@@ -128,7 +128,6 @@ let ambient : clock option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let current_deadline () = !(Domain.DLS.get ambient)
-let set_deadline c = Domain.DLS.get ambient := c
 
 let with_deadline c f =
   let cell = Domain.DLS.get ambient in

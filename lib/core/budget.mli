@@ -82,10 +82,6 @@ exception Deadline_exceeded of string
     is allowed; the innermost deadline wins for the dynamic extent. *)
 val with_deadline : clock -> (unit -> 'a) -> 'a
 
-(** Low-level variants of {!with_deadline} for non-nested lifetimes
-    (e.g. one server request handled entirely on one worker domain). *)
-val set_deadline : clock option -> unit
-
 val current_deadline : unit -> clock option
 
 (** Raises {!Deadline_exceeded} iff the ambient deadline's wall

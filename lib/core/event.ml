@@ -67,21 +67,6 @@ let reach ?(duration = fun _ -> 0) u ~within =
     ~name:(Printf.sprintf "reach(%s) within %d" (Pred.name u) within)
     decide
 
-let reach_within_steps u ~steps =
-  let decide ~maximal frag =
-    let rec go i = function
-      | [] -> if maximal || Exec.length frag > steps then Reject else Undecided
-      | s :: rest ->
-        if i > steps then Reject
-        else if Pred.mem u s then Accept
-        else go (i + 1) rest
-    in
-    go 0 (Exec.states frag)
-  in
-  make
-    ~name:(Printf.sprintf "reach(%s) within %d steps" (Pred.name u) steps)
-    decide
-
 let all_first ?(equal_action = ( = )) ~count a u =
   if count < 0 then invalid_arg "Event.all_first: negative count";
   let decide ~maximal frag =
@@ -143,10 +128,6 @@ let negate e =
   in
   make ~name:(Printf.sprintf "¬(%s)" e.name) (fun ~maximal frag ->
       flip (e.decide ~maximal frag))
-
-let conj_all = function
-  | [] -> invalid_arg "Event.conj_all: empty list"
-  | e :: es -> List.fold_left conj e es
 
 let check_premise m ~states pairs =
   let step_ok (a, u, p) step =

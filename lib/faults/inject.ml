@@ -30,7 +30,6 @@ let remove i l = List.filter (fun j -> j <> i) l
 
 let faulted w = List.sort_uniq compare (w.crashed @ w.stuck)
 let is_crashed w i = List.mem i w.crashed
-let is_stuck w i = List.mem i w.stuck
 let remaining w = w.left
 
 let effective_proc proc_of_action = function

@@ -36,7 +36,6 @@ let pp_action fmt = function
 
 let is_tick = function Tick -> true | _ -> false
 let duration a = if is_tick a then 1 else 0
-let is_user = function Try _ | Exit _ -> true | _ -> false
 
 let is_external = function
   | Try _ | Crit _ | Exit _ | Rem _ -> true

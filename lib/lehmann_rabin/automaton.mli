@@ -40,9 +40,6 @@ val is_tick : action -> bool
 (** Duration in slots (1 for [Tick], 0 otherwise). *)
 val duration : action -> int
 
-(** Is this one of the user-controlled actions ([Try]/[Exit])? *)
-val is_user : action -> bool
-
 (** The external actions of [M] are [try], [crit], [exit], [rem]
     (Section 6.1); everything else is internal. *)
 val is_external : action -> bool

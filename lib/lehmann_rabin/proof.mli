@@ -116,7 +116,6 @@ val compose_topo :
 val composed_topo : topo_instance -> (State.t Core.Claim.t, string) result
 val direct_bound_topo : topo_instance -> Proba.Rational.t
 val max_expected_time_topo : topo_instance -> float
-val liveness_topo : topo_instance -> bool
 
 (** Lemma 6.1 generalized; [None] when it holds. *)
 val invariant_topo : topo_instance -> State.t option

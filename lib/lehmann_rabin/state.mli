@@ -69,12 +69,9 @@ val initial : n:int -> g:int -> k:int -> t
     progress measurements. *)
 val all_trying : n:int -> g:int -> k:int -> t
 
-(** Generalized constructors for non-ring topologies, where the number
+(** Generalized constructor for non-ring topologies, where the number
     of resources differs from the number of processes. *)
 val initial_general :
-  num_procs:int -> num_resources:int -> g:int -> k:int -> t
-
-val all_trying_general :
   num_procs:int -> num_resources:int -> g:int -> k:int -> t
 
 val num_procs : t -> int

@@ -161,6 +161,3 @@ let indicator a pred = Explore.indicator a.expl pred
 let num_steps_of a i = a.step_off.(i + 1) - a.step_off.(i)
 
 let action a ~step = a.actions.(step)
-let is_tick_step a ~step = a.tick.(step)
-
-let has_tick_mask a = Array.exists (fun b -> b) a.tick

@@ -39,8 +39,8 @@ type ('s, 'a) t = private {
 
 (** [compile ?is_tick expl] adds the tick mask and the float plane to
     a fragment's rows.  Without [is_tick] the tick mask is all-[false]
-    (every step is zero-time), which is what the untimed step-bounded
-    engines use. *)
+    (every step is zero-time): that is how an untimed model compiles,
+    and {!Zeno.check} then treats every step as a zero-time edge. *)
 val compile : ?is_tick:('a -> bool) -> ('s, 'a) Explore.t -> ('s, 'a) t
 
 (** [of_pa ?max_states ?is_tick pa] = explore then compile. *)
@@ -106,11 +106,6 @@ val indicator : ('s, 'a) t -> 's Core.Pred.t -> bool array
 val num_steps_of : ('s, 'a) t -> int -> int
 
 val action : ('s, 'a) t -> step:int -> 'a
-val is_tick_step : ('s, 'a) t -> step:int -> bool
-
-(** [true] iff at least one step is a tick (i.e. the arena was
-    compiled with a meaningful [is_tick]). *)
-val has_tick_mask : ('s, 'a) t -> bool
 
 (** Process-wide count of {!compile} calls (including {!of_pa}); read
     by [Models.stats]. *)

@@ -5,16 +5,11 @@
     probabilistic outcomes with their weights.  Intended for inspecting
     small instances and for documentation figures. *)
 
-(** [to_channel arena ?name ?max_states ?highlight out] writes the
+(** [to_string arena ?name ?max_states ?highlight ()] renders the
     compiled MDP in DOT syntax.  States satisfying [highlight] are
     drawn filled.  If the automaton has more than [max_states] states
     (default 500), raises [Invalid_argument] -- large graphs are not
     viewable anyway. *)
-val to_channel :
-  ('s, 'a) Arena.t -> ?name:string -> ?max_states:int ->
-  ?highlight:('s -> bool) -> out_channel -> unit
-
-(** [to_string arena ...] renders to a string. *)
 val to_string :
   ('s, 'a) Arena.t -> ?name:string -> ?max_states:int ->
   ?highlight:('s -> bool) -> unit -> string

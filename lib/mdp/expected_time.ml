@@ -5,14 +5,6 @@
    and the fixpoints are bit-identical -- just without the per-access
    conversion cost. *)
 
-(* Which way the adversary optimizes.  Passed as a variant (rather
-   than [Float.max]/[Float.min] closures) so the hot sequential sweep
-   below can make direct, float-unboxed calls; the closure form
-   remains for the pooled path. *)
-type objective = Maximize | Minimize
-
-let best_of = function Maximize -> Float.max | Minimize -> Float.min
-
 let expectation (a : _ Arena.t) v k =
   let acc = ref 0.0 in
   for o = a.Arena.out_off.(k) to a.Arena.out_off.(k + 1) - 1 do
@@ -20,7 +12,7 @@ let expectation (a : _ Arena.t) v k =
   done;
   !acc
 
-let state_value (a : _ Arena.t) ~finite ~target ~best v i =
+let state_value (a : _ Arena.t) ~finite ~target v i =
   if target.(i) then 0.0
   else if not finite.(i) then infinity
   else begin
@@ -33,7 +25,7 @@ let state_value (a : _ Arena.t) ~finite ~target ~best v i =
       in
       let acc = ref (candidate lo) in
       for k = lo + 1 to hi - 1 do
-        acc := best !acc (candidate k)
+        acc := Float.max !acc (candidate k)
       done;
       !acc
     end
@@ -42,13 +34,12 @@ let state_value (a : _ Arena.t) ~finite ~target ~best v i =
 (* The sequential sweep is the hot loop of the [e3] kernel, so it is
    written allocation-free: CSR arrays hoisted into locals, bounds
    checks elided (offsets are trusted by construction), folds carried
-   in unboxed float accumulators, and the objective dispatched to
-   direct [Float.max]/[Float.min] calls.  The arithmetic -- a left
-   fold [acc +. p *. v] per step in branch order, then a left
-   [best]-fold over steps seeded with the first candidate -- is the
-   exact operation sequence of the historical option-fold code, so
-   fixpoints are bit-identical. *)
-let value_iterate_seq (a : _ Arena.t) ~finite ~target ~obj ~epsilon
+   in unboxed float accumulators.  The arithmetic -- a left fold
+   [acc +. p *. v] per step in branch order, then a left [Float.max]
+   fold over steps seeded with the first candidate -- is the exact
+   operation sequence of the historical option-fold code, so fixpoints
+   are bit-identical. *)
+let value_iterate_seq (a : _ Arena.t) ~finite ~target ~epsilon
     ~max_sweeps =
   let n = a.Arena.n in
   let step_off = a.Arena.step_off and out_off = a.Arena.out_off in
@@ -64,14 +55,13 @@ let value_iterate_seq (a : _ Arena.t) ~finite ~target ~obj ~epsilon
      stores are unboxed (and barrier-free), whereas refs and function
      arguments would box one float per branch.  Slot 0 carries the
      running best over steps, slot 1 the branch-sum of the current
-     step, slot 2 the sweep delta.  The seeds ([-inf] for max, [+inf]
-     for min) and the inlined comparisons return the same values as
-     the historical seeded [Float.max]/[Float.min] folds: the iterates
-     are nan-free and never produce [-0.], the only inputs where the
-     formulations differ. *)
+     step, slot 2 the sweep delta.  The [-inf] seed and the inlined
+     comparison return the same values as the historical seeded
+     [Float.max] fold: the iterates are nan-free and never produce
+     [-0.], the only inputs where the formulations differ. *)
   let scratch = Array.make 3 0.0 in
-  let state i lo hi maximize =
-    Array.unsafe_set scratch 0 (if maximize then neg_infinity else infinity);
+  let state i lo hi =
+    Array.unsafe_set scratch 0 neg_infinity;
     for k = lo to hi - 1 do
       Array.unsafe_set scratch 1 0.0;
       for o = Array.unsafe_get out_off k
@@ -86,17 +76,13 @@ let value_iterate_seq (a : _ Arena.t) ~finite ~target ~obj ~epsilon
         +. Array.unsafe_get scratch 1
       in
       let cur = Array.unsafe_get scratch 0 in
-      Array.unsafe_set scratch 0
-        (if maximize then (if e > cur then e else cur)
-         else if e < cur then e
-         else cur)
+      Array.unsafe_set scratch 0 (if e > cur then e else cur)
     done;
     let fresh = Array.unsafe_get scratch 0 in
     let d = Float.abs (fresh -. Array.unsafe_get v i) in
     if d > Array.unsafe_get scratch 2 then Array.unsafe_set scratch 2 d;
     Array.unsafe_set v i fresh
   in
-  let maximize = match obj with Maximize -> true | Minimize -> false in
   let sweep () =
     Array.unsafe_set scratch 2 0.0;
     for i = 0 to n - 1 do
@@ -104,7 +90,7 @@ let value_iterate_seq (a : _ Arena.t) ~finite ~target ~obj ~epsilon
       then begin
         let lo = Array.unsafe_get step_off i in
         let hi = Array.unsafe_get step_off (i + 1) in
-        if hi > lo then state i lo hi maximize else v.(i) <- infinity
+        if hi > lo then state i lo hi else v.(i) <- infinity
       end
     done;
     Array.unsafe_get scratch 2
@@ -122,7 +108,7 @@ let value_iterate_seq (a : _ Arena.t) ~finite ~target ~obj ~epsilon
    reads only the previous iterate and the per-sweep delta is combined
    with [Float.max] (associative and order-independent), so the result
    is bit-identical for any pool size. *)
-let value_iterate_par pool (a : _ Arena.t) ~finite ~target ~best ~epsilon
+let value_iterate_par pool (a : _ Arena.t) ~finite ~target ~epsilon
     ~max_sweeps =
   let n = a.Arena.n in
   let init i =
@@ -138,7 +124,7 @@ let value_iterate_par pool (a : _ Arena.t) ~finite ~target ~best ~epsilon
          if (not target.(i)) && finite.(i)
             && a.Arena.step_off.(i + 1) > a.Arena.step_off.(i)
          then begin
-           let fresh = state_value a ~finite ~target ~best cur i in
+           let fresh = state_value a ~finite ~target cur i in
            nxt.(i) <- fresh;
            Float.abs (fresh -. cur.(i))
          end
@@ -161,36 +147,27 @@ let value_iterate_par pool (a : _ Arena.t) ~finite ~target ~best ~epsilon
   go 0;
   !cur
 
-let value_iterate ?pool a ~finite ~target ~obj ~epsilon ~max_sweeps =
+let value_iterate ?pool a ~finite ~target ~epsilon ~max_sweeps =
   let pool =
     match pool with Some _ -> pool | None -> Parallel.Pool.get_default ()
   in
   match pool with
   | Some p ->
     (try
-       value_iterate_par p a ~finite ~target ~best:(best_of obj) ~epsilon
-         ~max_sweeps
+       value_iterate_par p a ~finite ~target ~epsilon ~max_sweeps
      with Parallel.Pool.Cancelled reason ->
        raise (Core.Budget.Deadline_exceeded reason))
-  | None -> value_iterate_seq a ~finite ~target ~obj ~epsilon ~max_sweeps
+  | None -> value_iterate_seq a ~finite ~target ~epsilon ~max_sweeps
 
 let max_expected_ticks ?pool a ~target ?(epsilon = 1e-12)
     ?(max_sweeps = 1_000_000) () =
   let finite = Qualitative.always_reaches a ~target in
-  value_iterate ?pool a ~finite ~target ~obj:Maximize ~epsilon ~max_sweeps
-
-let min_expected_ticks ?pool a ~target ?(epsilon = 1e-12)
-    ?(max_sweeps = 1_000_000) () =
-  let finite = Qualitative.some_reaches_certainly a ~target in
-  value_iterate ?pool a ~finite ~target ~obj:Minimize ~epsilon ~max_sweeps
+  value_iterate ?pool a ~finite ~target ~epsilon ~max_sweeps
 
 let max_expected_ticks_with_policy ?pool (a : _ Arena.t) ~target
     ?(epsilon = 1e-12) ?(max_sweeps = 1_000_000) () =
   let finite = Qualitative.always_reaches a ~target in
-  let v =
-    value_iterate ?pool a ~finite ~target ~obj:Maximize ~epsilon
-      ~max_sweeps
-  in
+  let v = value_iterate ?pool a ~finite ~target ~epsilon ~max_sweeps in
   let n = a.Arena.n in
   let policy =
     Array.init n (fun i ->

@@ -1,6 +1,6 @@
-(** Expected time to reach a target, extremized over adversaries.
+(** Worst-case expected time to reach a target.
 
-    Computes [sup] (or [inf]) over adversaries of the expected number of
+    Computes the [sup] over adversaries of the expected number of
     ticks before the target is first visited, by floating-point value
     iteration over the arena's float plane (this quantity is a
     {e measurement} used to compare against the paper's derived bound
@@ -30,14 +30,6 @@
     hit, whichever is first; raises [Failure] when the sweep budget runs
     out. *)
 val max_expected_ticks :
-  ?pool:Parallel.Pool.t ->
-  ('s, 'a) Arena.t -> target:bool array ->
-  ?epsilon:float -> ?max_sweeps:int -> unit -> float array
-
-(** Best-case (minimizing adversary) expected ticks; [infinity] where
-    even the best adversary cannot reach the target almost surely
-    (detected by a max-probability qualitative check). *)
-val min_expected_ticks :
   ?pool:Parallel.Pool.t ->
   ('s, 'a) Arena.t -> target:bool array ->
   ?epsilon:float -> ?max_sweeps:int -> unit -> float array

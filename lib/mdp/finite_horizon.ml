@@ -9,10 +9,9 @@ let no_convergence max_sweeps =
           "tick layer did not close after %d sweeps: the automaton \
            has probabilistic zero-time cycles" max_sweeps))
 
-(* The backward induction is shared between exact rationals (used for
-   certified claims) and floats (used for fast exploration at sizes the
-   exact engine cannot reach): the layer algorithm is a functor over
-   the value semiring.  Each instantiation reads one of the arena's
+(* The backward induction is shared between general rationals and the
+   dyadic fast path: the layer algorithm is a functor over the value
+   semiring.  Each instantiation reads one of the arena's exact
    probability planes -- the branch order is the arena's, which is the
    exploration order, so results are bit-identical to the historical
    per-engine conversion path. *)
@@ -52,18 +51,6 @@ module Num_dyadic : NUM with type t = Proba.Dyadic.t = struct
   let max = Proba.Dyadic.max
 end
 
-module Num_float : NUM with type t = float = struct
-  type t = float
-
-  let zero = 0.0
-  let one = 1.0
-  let add = ( +. )
-  let scale = ( *. )
-  let equal a b = Float.equal a b
-  let min = Float.min
-  let max = Float.max
-end
-
 module Engine (N : NUM) = struct
   (* The compact form is now just the arena's CSR arrays plus the
      caller-selected probability plane: building it is O(1), no
@@ -88,25 +75,6 @@ module Engine (N : NUM) = struct
       tgt = a.Arena.tgt;
       tick = a.Arena.tick;
       plane }
-
-  (* Per-index parallel fill, or a plain loop when no pool is in
-     effect.  Writes go to distinct slots, so results never depend on
-     the pool size.  Both paths observe the ambient deadline: the pool
-     via a [?stop] probe (consulted before every chunk claim), the
-     plain loop via one poll per fill. *)
-  let pfor pool ~n f =
-    match pool with
-    | Some p ->
-      (try
-         Parallel.Pool.parallel_for p ?stop:(Core.Budget.deadline_stop ())
-           ~n f
-       with Parallel.Pool.Cancelled reason ->
-         raise (Core.Budget.Deadline_exceeded reason))
-    | None ->
-      Core.Budget.poll ();
-      for i = 0 to n - 1 do
-        f i
-      done
 
   (* Expectation of step [k] under value vector [v]: a left fold over
      the step's branch range, the same association order as the
@@ -300,49 +268,10 @@ module Engine (N : NUM) = struct
     done;
     (!v, policy)
 
-  (* Step-bounded: every step consumes one unit of horizon, so plain
-     backward induction suffices; the tick mask is ignored.  Already
-     double-buffered, so the parallel fill is bit-identical to the
-     sequential one. *)
-  let run_steps ?pool arena ~plane ~target ~steps ~best =
-    if steps < 0 then invalid_arg "Finite_horizon: negative step horizon";
-    let pool = resolve_pool pool in
-    let c = compact arena ~plane ~target in
-    let n = c.n in
-    let v =
-      ref (Array.init n (fun s -> if target.(s) then N.one else N.zero))
-    in
-    for _k = 1 to steps do
-      let prev = !v in
-      let fresh = Array.make n N.zero in
-      pfor pool ~n (fun s ->
-          fresh.(s) <-
-            (if target.(s) then N.one
-             else begin
-               let lo = c.step_off.(s) and hi = c.step_off.(s + 1) in
-               if hi = lo then N.zero
-               else begin
-                 let acc = ref (expectation c prev lo) in
-                 for k = lo + 1 to hi - 1 do
-                   acc := best !acc (expectation c prev k)
-                 done;
-                 !acc
-               end
-             end));
-      v := fresh
-    done;
-    !v
-
-  let min_reach_steps ?pool arena ~plane ~target ~steps =
-    run_steps ?pool arena ~plane ~target ~steps ~best:N.min
-
-  let max_reach_steps ?pool arena ~plane ~target ~steps =
-    run_steps ?pool arena ~plane ~target ~steps ~best:N.max
 end
 
 module Exact = Engine (Num_rational)
 module Exact_dyadic = Engine (Num_dyadic)
-module Approx = Engine (Num_float)
 
 (* ------------------------------------------------------------------ *)
 (* Interval-guided exact backward induction: the [Plane.Interval] path
@@ -657,31 +586,9 @@ let max_reach ?pool ?plane a ~target ~ticks =
 let min_reach_with_policy ?pool (a : _ Arena.t) ~target ~ticks =
   Exact.min_reach_with_policy ?pool a ~plane:a.Arena.prob_q ~target ~ticks
 
-let min_reach_steps ?pool (a : _ Arena.t) ~target ~steps =
-  match Arena.dyadic_plane a with
-  | plane ->
-    Array.map Proba.Dyadic.to_rational
-      (Exact_dyadic.min_reach_steps ?pool a ~plane ~target ~steps)
-  | exception Proba.Dyadic.Not_dyadic _ ->
-    Exact.min_reach_steps ?pool a ~plane:a.Arena.prob_q ~target ~steps
-
-let max_reach_steps ?pool (a : _ Arena.t) ~target ~steps =
-  match Arena.dyadic_plane a with
-  | plane ->
-    Array.map Proba.Dyadic.to_rational
-      (Exact_dyadic.max_reach_steps ?pool a ~plane ~target ~steps)
-  | exception Proba.Dyadic.Not_dyadic _ ->
-    Exact.max_reach_steps ?pool a ~plane:a.Arena.prob_q ~target ~steps
-
 (* The rational-only engine, exposed for cross-checking. *)
 let min_reach_rational ?pool (a : _ Arena.t) ~target ~ticks =
   Exact.min_reach ?pool a ~plane:a.Arena.prob_q ~target ~ticks
 
 let max_reach_rational ?pool (a : _ Arena.t) ~target ~ticks =
   Exact.max_reach ?pool a ~plane:a.Arena.prob_q ~target ~ticks
-
-let min_reach_float ?pool (a : _ Arena.t) ~target ~ticks =
-  Approx.min_reach ?pool a ~plane:a.Arena.prob_f ~target ~ticks
-
-let max_reach_float ?pool (a : _ Arena.t) ~target ~ticks =
-  Approx.max_reach ?pool a ~plane:a.Arena.prob_f ~target ~ticks

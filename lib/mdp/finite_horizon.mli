@@ -29,10 +29,9 @@
     schedules converge to the same fixpoint (see docs/PERFORMANCE.md).
 
     The engines read the arena's probability planes directly (exact
-    plane for rationals, the memoized dyadic plane for the fast path,
-    the float plane for the floating-point twins); branch order is the
-    exploration order, so values are bit-identical to the historical
-    path that converted per call. *)
+    plane for rationals, the memoized dyadic plane for the fast path);
+    branch order is the exploration order, so values are bit-identical
+    to the historical path that converted per call. *)
 
 exception No_convergence of string
 
@@ -72,38 +71,6 @@ val min_reach_with_policy :
   ?pool:Parallel.Pool.t ->
   ('s, 'a) Arena.t -> target:bool array -> ticks:int ->
   Proba.Rational.t array * int array array
-
-(** {1 Step-bounded variants (untimed automata)}
-
-    Here the horizon counts steps (the tick mask is ignored), so no
-    inner fixpoint is needed. *)
-
-val min_reach_steps :
-  ?pool:Parallel.Pool.t ->
-  ('s, 'a) Arena.t -> target:bool array -> steps:int ->
-  Proba.Rational.t array
-
-val max_reach_steps :
-  ?pool:Parallel.Pool.t ->
-  ('s, 'a) Arena.t -> target:bool array -> steps:int ->
-  Proba.Rational.t array
-
-(** {1 Floating-point twins}
-
-    Identical layered algorithm with IEEE doubles instead of exact
-    rationals, reading the arena's float plane: roughly an order of
-    magnitude faster and far lighter on allocation, for exploratory
-    sweeps at sizes the exact engine cannot reach.  Values are not
-    certificates; claims must still be discharged by the exact
-    functions above. *)
-
-val min_reach_float :
-  ?pool:Parallel.Pool.t ->
-  ('s, 'a) Arena.t -> target:bool array -> ticks:int -> float array
-
-val max_reach_float :
-  ?pool:Parallel.Pool.t ->
-  ('s, 'a) Arena.t -> target:bool array -> ticks:int -> float array
 
 (** {1 Cross-checking}
 

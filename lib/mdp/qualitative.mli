@@ -26,20 +26,3 @@
     [Pmin(eventually target) = 1].  Terminal states count as staying
     put: a terminal non-target state never reaches the target. *)
 val always_reaches : ('s, 'a) Arena.t -> target:bool array -> bool array
-
-(** [safe_core arena ~avoid] is the largest set [S ⊆ avoid] such that
-    every state of [S] is terminal or has a step whose support stays in
-    [S] -- the region in which the adversary can avoid leaving [avoid]
-    surely. *)
-val safe_core : ('s, 'a) Arena.t -> avoid:bool array -> bool array
-
-(** [can_avoid arena ~target] is the set where some adversary keeps the
-    probability of reaching [target] below 1 (the complement of
-    {!always_reaches}). *)
-val can_avoid : ('s, 'a) Arena.t -> target:bool array -> bool array
-
-(** [some_reaches_certainly arena ~target] is the set where {e some}
-    adversary reaches the target with probability 1
-    ([Pmax(eventually target) = 1]); the classical nested fixpoint. *)
-val some_reaches_certainly :
-  ('s, 'a) Arena.t -> target:bool array -> bool array

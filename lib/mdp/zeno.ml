@@ -100,5 +100,3 @@ let check (a : _ Arena.t) =
       if component.(i) = c then members := i :: !members
     done;
     Probabilistic_zero_time_cycle !members
-
-let is_well_formed a = check a = Ok

@@ -28,6 +28,3 @@ type verdict =
       (** state indices of one offending strongly connected component *)
 
 val check : ('s, 'a) Arena.t -> verdict
-
-(** Convenience: [true] on [Ok]. *)
-val is_well_formed : ('s, 'a) Arena.t -> bool

@@ -15,7 +15,6 @@ type t
 val zero : t
 val one : t
 val two : t
-val minus_one : t
 
 (** {1 Conversions} *)
 

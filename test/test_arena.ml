@@ -69,19 +69,6 @@ module Legacy = struct
     let max = Proba.Dyadic.max
   end
 
-  module Num_float : NUM with type t = float = struct
-    type t = float
-
-    let zero = 0.0
-    let one = 1.0
-    let of_rational = Q.to_float
-    let add = ( +. )
-    let scale = ( *. )
-    let equal a b = Float.equal a b
-    let min = Float.min
-    let max = Float.max
-  end
-
   module Engine (N : NUM) = struct
     type compact = {
       n : int;
@@ -281,48 +268,10 @@ module Legacy = struct
       done;
       (!v, policy)
 
-    let run_steps ?pool expl ~target ~steps ~best =
-      if steps < 0 then invalid_arg "Finite_horizon: negative step horizon";
-      let n = Explore.num_states expl in
-      if Array.length target <> n then
-        invalid_arg "Finite_horizon: target array has wrong length";
-      let c = compact ?pool expl ~is_tick:(fun _ -> false) ~target in
-      let v =
-        ref (Array.init n (fun s -> if target.(s) then N.one else N.zero))
-      in
-      for _k = 1 to steps do
-        let prev = !v in
-        let fresh = Array.make n N.zero in
-        pfor pool ~n (fun s ->
-            fresh.(s) <-
-              (if target.(s) then N.one
-               else begin
-                 let stps = c.steps.(s) in
-                 if Array.length stps = 0 then N.zero
-                 else
-                   Array.fold_left
-                     (fun acc (_, outcomes) ->
-                        let e = expectation prev outcomes in
-                        match acc with
-                        | None -> Some e
-                        | Some cur -> Some (best cur e))
-                     None stps
-                   |> Option.get
-               end));
-        v := fresh
-      done;
-      !v
-
-    let min_reach_steps ?pool expl ~target ~steps =
-      run_steps ?pool expl ~target ~steps ~best:N.min
-
-    let max_reach_steps ?pool expl ~target ~steps =
-      run_steps ?pool expl ~target ~steps ~best:N.max
   end
 
   module Exact = Engine (Num_rational)
   module Exact_dyadic = Engine (Num_dyadic)
-  module Approx = Engine (Num_float)
 
   let exact_fast engine_dyadic engine_rational ?pool expl ~is_tick ~target
       ~ticks =
@@ -341,10 +290,6 @@ module Legacy = struct
 
   let min_reach_with_policy = Exact.min_reach_with_policy
   let min_reach_rational = Exact.min_reach
-  let min_reach_steps = Exact.min_reach_steps
-  let max_reach_steps = Exact.max_reach_steps
-  let min_reach_float = Approx.min_reach
-  let max_reach_float = Approx.max_reach
 
   (* Pre-refactor qualitative fixpoints *)
 
@@ -400,33 +345,6 @@ module Legacy = struct
     bad
 
   let always_reaches expl ~target = Array.map not (can_avoid expl ~target)
-
-  let some_reaches_certainly expl ~target =
-    let n = Explore.num_states expl in
-    let s_set = Array.make n true in
-    let outer_changed = ref true in
-    while !outer_changed do
-      let r = Array.copy target in
-      let inner_changed = ref true in
-      while !inner_changed do
-        inner_changed := false;
-        for i = 0 to n - 1 do
-          if (not r.(i)) && s_set.(i) then begin
-            let good step =
-              Array.for_all (fun (j, _) -> s_set.(j)) step.Explore.outcomes
-              && Array.exists (fun (j, _) -> r.(j)) step.Explore.outcomes
-            in
-            if Array.exists good (Explore.steps expl i) then begin
-              r.(i) <- true;
-              inner_changed := true
-            end
-          end
-        done
-      done;
-      outer_changed := not (Array.for_all2 ( = ) s_set r);
-      Array.blit r 0 s_set 0 n
-    done;
-    s_set
 
   (* Pre-refactor expected-time value iteration *)
 
@@ -540,10 +458,6 @@ module Legacy = struct
   let max_expected_ticks ?pool expl ~is_tick ~target () =
     let finite = always_reaches expl ~target in
     value_iterate ?pool expl ~is_tick ~finite ~target ~best:Float.max
-
-  let min_expected_ticks ?pool expl ~is_tick ~target () =
-    let finite = some_reaches_certainly expl ~target in
-    value_iterate ?pool expl ~is_tick ~finite ~target ~best:Float.min
 
   let max_expected_ticks_with_policy expl ~is_tick ~target () =
     let finite = always_reaches expl ~target in
@@ -662,8 +576,8 @@ let check_int_arrays name (expected : int array) (got : int array) =
   Alcotest.(check (array int)) name expected got
 
 (* ------------------------------------------------------------------ *)
-(* Finite horizon: exact, rational-only, and float engines, sequential
-   and at every pool size [--domains] accepts in the test matrix. *)
+(* Finite horizon: exact and rational-only engines, sequential and at
+   every pool size [--domains] accepts in the test matrix. *)
 
 let pools = [ None; Some 1; Some 2; Some 3 ]
 
@@ -692,16 +606,6 @@ let test_reach_differential () =
                   (Legacy.max_reach ?pool f.expl ~is_tick:f.is_tick
                      ~target:f.target ~ticks:f.ticks)
                   (Mdp.Finite_horizon.max_reach ?pool f.arena
-                     ~target:f.target ~ticks:f.ticks);
-                check_float_arrays (ctx "min_reach_float")
-                  (Legacy.min_reach_float ?pool f.expl ~is_tick:f.is_tick
-                     ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.min_reach_float ?pool f.arena
-                     ~target:f.target ~ticks:f.ticks);
-                check_float_arrays (ctx "max_reach_float")
-                  (Legacy.max_reach_float ?pool f.expl ~is_tick:f.is_tick
-                     ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.max_reach_float ?pool f.arena
                      ~target:f.target ~ticks:f.ticks)))
          pools)
     (Lazy.force fixtures)
@@ -720,19 +624,6 @@ let test_rational_only_differential () =
              (Mdp.Finite_horizon.min_reach_rational ?pool f.arena
                 ~target:f.target ~ticks:f.ticks)))
     pools
-
-let test_reach_steps_differential () =
-  List.iter
-    (fun (Fixture f) ->
-       check_q_arrays (f.name ^ " min_reach_steps")
-         (Legacy.min_reach_steps f.expl ~target:f.target ~steps:f.ticks)
-         (Mdp.Finite_horizon.min_reach_steps f.arena ~target:f.target
-            ~steps:f.ticks);
-       check_q_arrays (f.name ^ " max_reach_steps")
-         (Legacy.max_reach_steps f.expl ~target:f.target ~steps:f.ticks)
-         (Mdp.Finite_horizon.max_reach_steps f.arena ~target:f.target
-            ~steps:f.ticks))
-    (Lazy.force fixtures)
 
 let test_policy_differential () =
   List.iter
@@ -768,14 +659,7 @@ let test_qualitative_differential () =
        in
        check "always_reaches"
          (Legacy.always_reaches f.expl ~target:f.target)
-         (Mdp.Qualitative.always_reaches f.arena ~target:f.target);
-       check "some_reaches_certainly"
-         (Legacy.some_reaches_certainly f.expl ~target:f.target)
-         (Mdp.Qualitative.some_reaches_certainly f.arena ~target:f.target);
-       let avoid = Array.map not f.target in
-       check "safe_core"
-         (Legacy.safe_core f.expl ~avoid)
-         (Mdp.Qualitative.safe_core f.arena ~avoid))
+         (Mdp.Qualitative.always_reaches f.arena ~target:f.target))
     (Lazy.force fixtures)
 
 (* ------------------------------------------------------------------ *)
@@ -794,11 +678,6 @@ let test_expected_time_differential () =
                   (Legacy.max_expected_ticks ?pool f.expl
                      ~is_tick:f.is_tick ~target:f.target ())
                   (Mdp.Expected_time.max_expected_ticks ?pool f.arena
-                     ~target:f.target ());
-                check_float_arrays (ctx "min_expected_ticks")
-                  (Legacy.min_expected_ticks ?pool f.expl
-                     ~is_tick:f.is_tick ~target:f.target ())
-                  (Mdp.Expected_time.min_expected_ticks ?pool f.arena
                      ~target:f.target ())))
          [ None; Some 2 ];
        let v0, p0 =
@@ -845,9 +724,6 @@ let test_partial_fragment_differential () =
   check_q_arrays "partial max_reach"
     (Legacy.max_reach expl ~is_tick ~target ~ticks:4)
     (Mdp.Finite_horizon.max_reach arena ~target ~ticks:4);
-  check_float_arrays "partial max_reach_float"
-    (Legacy.max_reach_float expl ~is_tick ~target ~ticks:4)
-    (Mdp.Finite_horizon.max_reach_float arena ~target ~ticks:4);
   Alcotest.(check (array bool)) "partial always_reaches"
     (Legacy.always_reaches expl ~target)
     (Mdp.Qualitative.always_reaches arena ~target)
@@ -882,8 +758,7 @@ let test_arena_structure () =
               let kk = lo + k in
               if
                 not
-                  (f.is_tick step.Step_view.action
-                   = Mdp.Arena.is_tick_step a ~step:kk)
+                  (f.is_tick step.Step_view.action = a.Mdp.Arena.tick.(kk))
               then Alcotest.failf "%s: tick mask differs at %d/%d" f.name i k;
               let olo = a.Mdp.Arena.out_off.(kk) in
               Array.iteri
@@ -987,70 +862,6 @@ let test_registry_memoizes () =
     after.Models.compiles;
   Alcotest.(check bool) "cache hits grew" true
     (after.Models.cache_hits > before.Models.cache_hits)
-
-(* ------------------------------------------------------------------ *)
-(* Sim.Search policy evaluation against the exact engine: on the LR
-   arena a fixed policy's step-bounded value must lie within the exact
-   min/max envelope, and the degenerate single-choice states make the
-   all-zeros policy well defined. *)
-
-let test_policy_value_envelope () =
-  let (Fixture f) = List.hd (Lazy.force fixtures) in
-  let n = Mdp.Arena.num_states f.arena in
-  let horizon = 6 in
-  let vmin =
-    Mdp.Finite_horizon.min_reach_steps f.arena ~target:f.target
-      ~steps:horizon
-  in
-  let vmax =
-    Mdp.Finite_horizon.max_reach_steps f.arena ~target:f.target
-      ~steps:horizon
-  in
-  let check_policy policy =
-    let v =
-      Sim.Search.policy_value f.arena ~policy ~target:f.target ~horizon
-    in
-    Array.iteri
-      (fun i x ->
-         let lo = Q.to_float vmin.(i) and hi = Q.to_float vmax.(i) in
-         if x < lo -. 1e-9 || x > hi +. 1e-9 then
-           Alcotest.failf "policy value %g outside [%g, %g] at state %d" x lo
-             hi i)
-      v
-  in
-  check_policy (Array.make n 0);
-  check_policy (Array.init n (fun i -> i * 7))
-
-let test_policy_search_finds_adversary () =
-  let (Fixture f) = List.hd (Lazy.force fixtures) in
-  let rng = Proba.Rng.create ~seed:11 in
-  let r =
-    Sim.Search.policy_search ~rng f.arena ~target:f.target ~horizon:6
-      ~steps:60 ()
-  in
-  let starts = Mdp.Arena.start_indices f.arena in
-  let vmax =
-    Mdp.Finite_horizon.max_reach_steps f.arena ~target:f.target ~steps:6
-  in
-  let bound =
-    List.fold_left (fun acc i -> Float.max acc (Q.to_float vmax.(i))) 0.0
-      starts
-  in
-  Alcotest.(check bool) "score within exact bound" true
-    (r.Sim.Search.score <= bound +. 1e-9);
-  Alcotest.(check bool) "score nonnegative" true (r.Sim.Search.score >= 0.0);
-  (* The reported score is exactly the objective of the reported
-     genome: re-evaluating the best policy reproduces it bit-for-bit. *)
-  let v =
-    Sim.Search.policy_value f.arena ~policy:r.Sim.Search.best
-      ~target:f.target ~horizon:6
-  in
-  let mean =
-    List.fold_left (fun acc i -> acc +. v.(i)) 0.0 starts
-    /. float_of_int (List.length starts)
-  in
-  Alcotest.(check bool) "score = objective of best genome" true
-    (Float.equal mean r.Sim.Search.score)
 
 (* ------------------------------------------------------------------ *)
 (* Probability planes: the interval oracle must never change an
@@ -1208,72 +1019,6 @@ let test_plane_no_convergence () =
     [ Mdp.Plane.Interval; Mdp.Plane.Exact ]
 
 (* ------------------------------------------------------------------ *)
-(* Bisimulation.  [Bisim.refine]'s block arrays, numbering included,
-   are pinned on every fixture by the digest of their comma-joined
-   rendering (values recorded from the interval-keyed refinement it
-   replaced, which both of its planes agreed on).  Stability is then
-   re-checked by a signature built here from the fragment's step
-   records, sharing no code with [Bisim]: all members of a block carry
-   the same label and the same set of (action, exact per-block
-   distribution) steps. *)
-
-let bisim_pins =
-  [ ("lr", (8092, 7171, "a01d775e36672885945d76e7e0f8f94a"));
-    ("election", (60, 46, "0306ef4f2c2966de1396a183de722418"));
-    ("coin", (27, 16, "c848f63e7be3e888c21394399feb19f3"));
-    ("consensus", (16148, 3489, "a2e92067c683f6ebdb77f94def8dbcf3")) ]
-
-module Int_map = Map.Make (Int)
-
-(* A state's steps as sorted, deduplicated (marshalled action,
-   "block:weight;..." distribution) pairs, weights summed exactly. *)
-let reference_signature expl blocks i =
-  Step_view.steps expl i
-  |> Array.to_list
-  |> List.map (fun { Step_view.action; outcomes } ->
-      let per_block =
-        Array.fold_left
-          (fun m (j, w) ->
-             Int_map.update blocks.(j)
-               (fun cur -> Some (Q.add w (Option.value cur ~default:Q.zero)))
-               m)
-          Int_map.empty outcomes
-      in
-      ( Marshal.to_string action [],
-        String.concat ";"
-          (List.map
-             (fun (b, w) -> Printf.sprintf "%d:%s" b (Q.to_string w))
-             (Int_map.bindings per_block)) ))
-  |> List.sort_uniq compare
-
-let test_bisim_refine_pinned () =
-  List.iter
-    (fun (Fixture f) ->
-       let labels = Array.map (fun b -> if b then 1 else 0) f.target in
-       let blocks = Mdp.Bisim.refine f.arena ~labels () in
-       let n, num_blocks, digest = List.assoc f.name bisim_pins in
-       Alcotest.(check int) (f.name ^ ": states") n (Array.length blocks);
-       Alcotest.(check int) (f.name ^ ": blocks") num_blocks
-         (Mdp.Bisim.num_blocks blocks);
-       Alcotest.(check string) (f.name ^ ": block array digest") digest
-         (Digest.to_hex
-            (Digest.string
-               (String.concat ","
-                  (Array.to_list (Array.map string_of_int blocks)))));
-       let first = Hashtbl.create 64 in
-       Array.iteri
-         (fun i b ->
-            let key = (labels.(i), reference_signature f.expl blocks i) in
-            match Hashtbl.find_opt first b with
-            | None -> Hashtbl.add first b (i, key)
-            | Some (r, rkey) ->
-              if rkey <> key then
-                Alcotest.failf "%s: block %d unstable: states %d and %d \
-                                differ" f.name b r i)
-         blocks)
-    (Lazy.force fixtures)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "arena"
@@ -1282,8 +1027,6 @@ let () =
             test_reach_differential;
           Alcotest.test_case "rational-only engine" `Quick
             test_rational_only_differential;
-          Alcotest.test_case "step-bounded" `Quick
-            test_reach_steps_differential;
           Alcotest.test_case "minimizing policy" `Quick
             test_policy_differential;
           Alcotest.test_case "qualitative fixpoints" `Quick
@@ -1304,9 +1047,6 @@ let () =
             test_plane_stats_dyadic_all_points;
           Alcotest.test_case "no-convergence refusal" `Quick
             test_plane_no_convergence ] );
-      ( "bisim",
-        [ Alcotest.test_case "refine pinned and stable" `Quick
-            test_bisim_refine_pinned ] );
       ( "structure",
         [ Alcotest.test_case "CSR mirrors the fragment" `Quick
             test_arena_structure;
@@ -1318,9 +1058,4 @@ let () =
         [ Alcotest.test_case "find_or_add" `Quick test_find_or_add ] );
       ( "registry",
         [ Alcotest.test_case "memoizes instances" `Quick
-            test_registry_memoizes ] );
-      ( "search",
-        [ Alcotest.test_case "policy value envelope" `Quick
-            test_policy_value_envelope;
-          Alcotest.test_case "policy search bounded by exact max" `Quick
-            test_policy_search_finds_adversary ] ) ]
+            test_registry_memoizes ] ) ]

@@ -118,7 +118,7 @@ let test_crash_budget () =
 let test_zeno_free () =
   let inst = Lazy.force inst_mixed in
   Alcotest.(check bool) "encoding is zeno-free" true
-    (Mdp.Zeno.is_well_formed inst.BO.Proof.arena)
+    (Mdp.Zeno.check inst.BO.Proof.arena = Mdp.Zeno.Ok)
 
 (* ------------------------------------------------------------------ *)
 (* Safety, exhaustively *)

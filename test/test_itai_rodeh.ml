@@ -82,7 +82,7 @@ let test_leader_absorbing () =
 let test_zeno_well_formed () =
   let inst = IR.Proof.build ~n:4 () in
   Alcotest.(check bool) "encoding is zeno-free" true
-    (Mdp.Zeno.is_well_formed inst.IR.Proof.arena)
+    (Mdp.Zeno.check inst.IR.Proof.arena = Mdp.Zeno.Ok)
 
 let test_state_counts () =
   let count n =

@@ -397,7 +397,7 @@ let test_invariant_neighbor_crit () =
 let test_zeno_well_formed () =
   let inst = Lazy.force inst in
   Alcotest.(check bool) "digital-clock encoding is zeno-free" true
-    (Mdp.Zeno.is_well_formed inst.LR.Proof.arena)
+    (Mdp.Zeno.check inst.LR.Proof.arena = Mdp.Zeno.Ok)
 
 let test_proof_state_count () =
   let inst = Lazy.force inst in
@@ -637,7 +637,7 @@ let prop_random_topologies_sound =
           | None -> false
         in
         LR.Proof.invariant_topo tinst = None
-        && Mdp.Zeno.is_well_formed tinst.LR.Proof.tarena
+        && Mdp.Zeno.check tinst.LR.Proof.tarena = Mdp.Zeno.Ok
         && holds "A.1" && holds "A.3")
 
 (* ------------------------------------------------------------------ *)

@@ -196,23 +196,17 @@ let test_lr_max_reach_and_policy_pools () =
              x v1.(i))
         v0)
 
-let test_float_engines_pool_invariant () =
+let test_expected_time_pool_invariant () =
   (* Float results are bit-identical across pool sizes (same Jacobi
      schedule, same chunk grid); sequential Gauss-Seidel may differ in
      low-order bits and is not compared here. *)
   let inst = Lazy.force lr_inst in
   let arena = inst.LR.Proof.arena in
   let target = Mdp.Arena.indicator arena LR.Regions.c in
-  let reach_at domains =
-    with_pool domains (fun pool ->
-        Mdp.Finite_horizon.min_reach_float ~pool arena ~target ~ticks:8)
-  in
   let expected_at domains =
     with_pool domains (fun pool ->
         Mdp.Expected_time.max_expected_ticks ~pool arena ~target ())
   in
-  let r1 = reach_at 1 and r4 = reach_at 4 in
-  Alcotest.(check bool) "min_reach_float 1 = 4 domains" true (r1 = r4);
   let e1 = expected_at 1 and e4 = expected_at 4 in
   Alcotest.(check bool) "max_expected_ticks 1 = 4 domains" true (e1 = e4);
   (* And against the sequential schedule the fixpoints agree to the
@@ -330,8 +324,8 @@ let () =
            test_ben_or_min_reach_bit_identical;
          Alcotest.test_case "max_reach and policy" `Quick
            test_lr_max_reach_and_policy_pools;
-         Alcotest.test_case "float engines pool-invariant" `Quick
-           test_float_engines_pool_invariant ]);
+         Alcotest.test_case "expected time pool-invariant" `Quick
+           test_expected_time_pool_invariant ]);
       ("monte-carlo",
        [ Alcotest.test_case "estimate_reach bit-identical" `Quick
            test_monte_carlo_pool_bit_identical;

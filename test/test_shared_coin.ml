@@ -74,7 +74,7 @@ let test_validation () =
 let test_zeno_well_formed () =
   let inst = SC.Proof.build ~n:3 ~bound:3 () in
   Alcotest.(check bool) "encoding is zeno-free" true
-    (Mdp.Zeno.is_well_formed inst.SC.Proof.arena)
+    (Mdp.Zeno.check inst.SC.Proof.arena = Mdp.Zeno.Ok)
 
 (* ------------------------------------------------------------------ *)
 (* Proof *)
